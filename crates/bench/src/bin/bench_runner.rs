@@ -69,7 +69,7 @@
 //! moves per delta, deterministic anchor rounds/messages). In-harness
 //! gates: every repaired forest passes the churn-differential oracle
 //! (feasible, within the certified ratio bound, no heavier than a
-//! from-scratch `greedy + local_search` solve), the replay is
+//! from-scratch solve, scratch = greedy + `repair::optimize`), the replay is
 //! bit-identical across worker-thread counts 1 and 4, and the repair is
 //! at least 2× faster than scratch on a strict majority of steps. No
 //! baseline (`--check` is rejected).

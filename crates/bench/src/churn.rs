@@ -3,8 +3,9 @@
 //! Replays every seeded churn trace ([`dsf_workloads::churn`]) through
 //! `dsf-service`'s delta API — `add_demand` / `remove_demand` /
 //! `reweight_edge` repairing the cached forest — and measures the repair
-//! against a from-scratch `greedy + local_search` solve of the same
-//! post-delta instance, emitted as `BENCH_churn.json`.
+//! against the from-scratch solve of the same post-delta instance
+//! (scratch = greedy + `repair::optimize`,
+//! [`conformance::scratch_solve`]), emitted as `BENCH_churn.json`.
 //!
 //! Three gates run in-harness before any entry is emitted; a violation
 //! aborts the run (non-zero exit):
@@ -78,13 +79,13 @@ pub struct ChurnBenchEntry {
     pub step: usize,
     /// Active demand components after the delta.
     pub k: usize,
-    /// Local-search plus reroute moves the repair accepted
-    /// (deterministic).
+    /// `repair::optimize` moves the repair accepted; an adopted scratch
+    /// candidate adds none (deterministic).
     pub moves: u64,
     /// Weight of the repaired forest (deterministic).
     pub weight: u64,
-    /// Weight of the from-scratch `greedy + local_search` solve of the
-    /// post-delta instance (deterministic).
+    /// Weight of the from-scratch solve (scratch = greedy +
+    /// `repair::optimize`) of the post-delta instance (deterministic).
     pub scratch_weight: u64,
     /// `⌈1000 · weight / cert_upper⌉` of the repaired forest
     /// (deterministic).

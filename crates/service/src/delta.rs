@@ -25,10 +25,17 @@
 //! nodes the delta disturbed (new terminals, rollback scars, the
 //! re-priced edge's endpoints), so untouched trees are never
 //! re-scanned; a chord whose price only went *up* needs no search at
-//! all. The churn lab (`tests/churn.rs`, `bench_runner
-//! --churn`) holds the result to the from-scratch quality envelope:
-//! feasible, within the certified ratio bound, and never heavier than a
-//! fresh `greedy + local_search` solve of the post-delta instance.
+//! all.
+//!
+//! Deltas that can strand the cache in a shape no repair move escapes
+//! (entangled adds and removals, adds to a near-empty cache, reweights
+//! that change the graph metric) race the patched forest against the
+//! from-scratch candidate [`conformance::scratch_solve`] — greedy +
+//! [`repair::optimize`] — and adopt it only when strictly lighter. That
+//! is the same solve the churn lab (`tests/churn.rs`, `bench_runner
+//! --churn`) holds every repaired forest to, so "never heavier than
+//! scratch" holds by construction on every raced step; the lab also
+//! checks feasibility and the certified ratio bound.
 //!
 //! Installing a graph whose fingerprint differs from the cached one
 //! drops the cached state entirely — repairs never run against the wrong
@@ -39,8 +46,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dsf_graph::{dijkstra, EdgeId, NodeId, Weight, WeightedGraph, INF};
-use dsf_steiner::{greedy, local_search, repair};
+use dsf_steiner::repair;
 use dsf_steiner::{ForestSolution, Instance, InstanceBuilder, InstanceError};
+use dsf_workloads::conformance;
 
 use crate::session::SolverSession;
 
@@ -71,6 +79,11 @@ pub enum DeltaError {
     EdgeOutOfRange(EdgeId),
     /// Reweight to zero (the model requires weights in `N`, Section 2).
     ZeroWeight(EdgeId),
+    /// Reweight that lifts the graph's total weight to [`INF`] or more
+    /// (any `w >= INF` among them): shortest-path searches read a
+    /// distance that large as unreachable, so demands across the edge
+    /// would silently disconnect.
+    WeightTooLarge(EdgeId),
 }
 
 impl fmt::Display for DeltaError {
@@ -81,6 +94,7 @@ impl fmt::Display for DeltaError {
             DeltaError::Instance(e) => write!(f, "invalid demand: {e}"),
             DeltaError::EdgeOutOfRange(e) => write!(f, "edge {e} out of range"),
             DeltaError::ZeroWeight(e) => write!(f, "zero weight for edge {e}"),
+            DeltaError::WeightTooLarge(e) => write!(f, "edge {e}: graph weight would reach INF"),
         }
     }
 }
@@ -100,8 +114,10 @@ pub struct DeltaOutcome {
     pub forest: ForestSolution,
     /// Its total weight on the session's current graph.
     pub weight: Weight,
-    /// Accepted repair moves: local-search swaps/replaces plus
-    /// whole-component reroutes of the finishing pass.
+    /// Accepted [`repair::optimize`] moves (swap, replace, reroute,
+    /// Steiner elimination) spent patching the cached forest. An adopted
+    /// from-scratch candidate adds none: it already is an `optimize`
+    /// fixpoint.
     pub moves: u64,
     /// Wall-clock of the repair, report-only (never part of any
     /// deterministic comparison).
@@ -154,17 +170,22 @@ fn build_instance(
     b.build()
 }
 
-/// Finishes a repaired forest to the deterministic scoped local optimum
-/// of [`repair::optimize`] (swap/replace/reroute/Steiner-elimination
-/// moves over the dirtied trees). Returns the forest and the number of
-/// accepted moves.
-fn finish(
+/// Races a patched forest and its move count against the from-scratch
+/// candidate [`conformance::scratch_solve`], adopting the candidate only
+/// when it is strictly lighter. The candidate already is a
+/// [`repair::optimize`] fixpoint, so adoption keeps the move count; on a
+/// tie or a heavier candidate `patched` comes back unchanged.
+fn race_scratch(
     g: &WeightedGraph,
     inst: &Instance,
-    start: ForestSolution,
-    scope: &[NodeId],
+    patched: (ForestSolution, u64),
 ) -> (ForestSolution, u64) {
-    repair::optimize(g, inst, &start, Some(scope))
+    let scratch = conformance::scratch_solve(g, inst);
+    if scratch.weight(g) < patched.0.weight(g) {
+        (scratch, patched.1)
+    } else {
+        patched
+    }
 }
 
 impl SolverSession {
@@ -257,7 +278,7 @@ impl SolverSession {
                 scope.push(ed.v);
             }
         }
-        let (mut forest, mut moves) = finish(&state.graph, &instance, connected, &scope);
+        let patched = repair::optimize(&state.graph, &instance, &connected, Some(&scope));
         // An add leaves the graph metric untouched, so a connection
         // path that built its own tree cannot improve any other tree.
         // But a path that *merged* into existing trees entangles the
@@ -270,45 +291,27 @@ impl SolverSession {
         // departures. A disentangled add bought a standalone tree and
         // disturbed nobody, so both passes are skipped and the attach
         // stays cheap.
-        let tree_of = state.graph.components_of(forest.edges());
+        let tree_of = state.graph.components_of(patched.0.edges());
         let new_tree = terminals.first().map(|t| tree_of[t.idx()]);
         let entangled = state
             .demands
             .iter()
             .any(|(_, terms)| terms.iter().any(|t| Some(tree_of[t.idx()]) == new_tree));
-        if entangled {
-            let (global, extra) = repair::optimize(&state.graph, &instance, &forest, None);
-            forest = global;
-            moves += extra;
-            let scratch = local_search::improve(
-                &state.graph,
-                &instance,
-                &greedy::solve_greedy(&state.graph, &instance),
-            );
-            if scratch.weight(&state.graph) < forest.weight(&state.graph) {
-                let (polished, extra) = repair::optimize(&state.graph, &instance, &scratch, None);
-                forest = polished;
-                moves += extra;
-            }
-        }
-        // On a near-cold session there is little cached structure to
-        // ride, so attaching onto it can lock in a worse topology than a
-        // fresh greedy's interleaved merges — and a from-scratch solve
-        // of a tiny instance is cheap. Race it while the instance is
-        // small; once enough components are cached the attach rides real
-        // structure and the incremental path wins on its own.
-        if !entangled && instance.k() <= SMALL_INSTANCE_RACE_K {
-            let scratch = local_search::improve(
-                &state.graph,
-                &instance,
-                &greedy::solve_greedy(&state.graph, &instance),
-            );
-            if scratch.weight(&state.graph) < forest.weight(&state.graph) {
-                let (polished, extra) = repair::optimize(&state.graph, &instance, &scratch, None);
-                forest = polished;
-                moves += extra;
-            }
-        }
+        let (forest, moves) = if entangled {
+            let (global, extra) = repair::optimize(&state.graph, &instance, &patched.0, None);
+            race_scratch(&state.graph, &instance, (global, patched.1 + extra))
+        } else if instance.k() <= SMALL_INSTANCE_RACE_K {
+            // On a near-cold session there is little cached structure
+            // to ride, so attaching onto it can lock in a worse topology
+            // than a fresh greedy's interleaved merges — and a
+            // from-scratch solve of a tiny instance is cheap. Race it
+            // while the instance is small; once enough components are
+            // cached the attach rides real structure and the
+            // incremental path wins on its own.
+            race_scratch(&state.graph, &instance, patched)
+        } else {
+            patched
+        };
         state.next_id += 1;
         state.demands = demands;
         state.instance = instance;
@@ -335,9 +338,9 @@ impl SolverSession {
     /// riding the departed component's tree for free. Because a
     /// departure can strand the survivors in a shape only a
     /// multi-component restructuring escapes, the patched forest is
-    /// raced against a from-scratch `greedy + local_search` candidate
-    /// and the lighter of the two wins — a removal therefore never
-    /// yields a forest heavier than a fresh solve.
+    /// raced against the from-scratch candidate and the strictly lighter
+    /// of the two wins — a removal therefore never yields a forest
+    /// heavier than a fresh solve.
     ///
     /// Removing the last demand yields the empty forest.
     ///
@@ -379,29 +382,20 @@ impl SolverSession {
                 scope.push(ed.v);
             }
         }
-        let (mut forest, mut moves) = finish(&state.graph, &instance, rolled_back, &scope);
+        let patched = repair::optimize(&state.graph, &instance, &rolled_back, Some(&scope));
         // An *entangled* departure — the departed terminals shared a
         // tree with a survivor — can leave that survivor in a shape no
         // local move escapes: its detours were bought when the departed
         // tree was free to ride, and unwinding them can take a
-        // multi-component restructuring. Race a from-scratch greedy +
-        // local-search candidate; when it beats the patched forest,
-        // polish it with an unscoped repair pass (which only shaves
-        // further) and adopt it. A disentangled departure takes its
-        // whole tree with it and disturbs nobody, so the race is
-        // skipped and the removal stays cheap.
-        if entangled {
-            let scratch = local_search::improve(
-                &state.graph,
-                &instance,
-                &greedy::solve_greedy(&state.graph, &instance),
-            );
-            if scratch.weight(&state.graph) < forest.weight(&state.graph) {
-                let (polished, extra) = repair::optimize(&state.graph, &instance, &scratch, None);
-                forest = polished;
-                moves += extra;
-            }
-        }
+        // multi-component restructuring. Race the from-scratch
+        // candidate. A disentangled departure takes its whole tree with
+        // it and disturbs nobody, so the race is skipped and the removal
+        // stays cheap.
+        let (forest, moves) = if entangled {
+            race_scratch(&state.graph, &instance, patched)
+        } else {
+            patched
+        };
         state.instance = instance;
         let weight = forest.weight(&state.graph);
         state.forest = forest.clone();
@@ -430,8 +424,9 @@ impl SolverSession {
     /// # Errors
     ///
     /// [`DeltaError::NoGraph`] before [`SolverSession::install_graph`];
-    /// [`DeltaError::EdgeOutOfRange`] / [`DeltaError::ZeroWeight`] for an
-    /// invalid target.
+    /// [`DeltaError::EdgeOutOfRange`] / [`DeltaError::ZeroWeight`] /
+    /// [`DeltaError::WeightTooLarge`] for an invalid target or weight;
+    /// the cached state is untouched on error.
     pub fn reweight_edge(&mut self, e: EdgeId, w: Weight) -> Result<DeltaOutcome, DeltaError> {
         let t0 = Instant::now();
         let state = self.incremental.as_mut().ok_or(DeltaError::NoGraph)?;
@@ -451,10 +446,18 @@ impl SolverSession {
                 wall_ns: t0.elapsed().as_nanos() as u64,
             });
         }
-        let old_w = state.graph.weight(e);
-        let went_up = w > old_w;
         let mut edges = state.graph.edges().to_vec();
         edges[e.idx()].w = w;
+        // The total weight bounds every path, so keeping it below INF
+        // keeps every distance the solvers compute finite.
+        let total = edges
+            .iter()
+            .fold(0 as Weight, |acc, ed| acc.saturating_add(ed.w));
+        if total >= INF {
+            return Err(DeltaError::WeightTooLarge(e));
+        }
+        let old_w = state.graph.weight(e);
+        let went_up = w > old_w;
         let graph = Arc::new(
             WeightedGraph::from_edges(state.graph.n(), edges)
                 .expect("reweighting a valid graph stays valid"),
@@ -499,22 +502,13 @@ impl SolverSession {
                 // [`SolverSession::remove_demand`] does. An edge that
                 // was already redundant re-shapes nothing; the scoped
                 // finish alone sheds it.
-                let (mut forest, mut moves) =
-                    finish(&graph, &state.instance, state.forest.clone(), &[ed.u, ed.v]);
+                let patched =
+                    repair::optimize(&graph, &state.instance, &state.forest, Some(&[ed.u, ed.v]));
                 if old_w < alt {
-                    let scratch = local_search::improve(
-                        &graph,
-                        &state.instance,
-                        &greedy::solve_greedy(&graph, &state.instance),
-                    );
-                    if scratch.weight(&graph) < forest.weight(&graph) {
-                        let (polished, extra) =
-                            repair::optimize(&graph, &state.instance, &scratch, None);
-                        forest = polished;
-                        moves += extra;
-                    }
+                    race_scratch(&graph, &state.instance, patched)
+                } else {
+                    patched
                 }
-                (forest, moves)
             } else if w < alt {
                 // A chord dropping below every alternative improves
                 // real distances, so it can pay off in trees far from
@@ -523,20 +517,8 @@ impl SolverSession {
                 // and — because the metric genuinely changed — race
                 // the from-scratch candidate, whose interleaved greedy
                 // merges can reach topologies no repair move does.
-                let (mut forest, mut moves) =
-                    repair::optimize(&graph, &state.instance, &state.forest, None);
-                let scratch = local_search::improve(
-                    &graph,
-                    &state.instance,
-                    &greedy::solve_greedy(&graph, &state.instance),
-                );
-                if scratch.weight(&graph) < forest.weight(&graph) {
-                    let (polished, extra) =
-                        repair::optimize(&graph, &state.instance, &scratch, None);
-                    forest = polished;
-                    moves += extra;
-                }
-                (forest, moves)
+                let patched = repair::optimize(&graph, &state.instance, &state.forest, None);
+                race_scratch(&graph, &state.instance, patched)
             } else {
                 // A redundant cheaper chord leaves the metric
                 // unchanged; the only possibly-profitable new move is
@@ -544,7 +526,7 @@ impl SolverSession {
                 // endpoints in one tree.
                 let tree_of = graph.components_of(state.forest.edges());
                 if tree_of[ed.u.idx()] == tree_of[ed.v.idx()] {
-                    finish(&graph, &state.instance, state.forest.clone(), &[ed.u, ed.v])
+                    repair::optimize(&graph, &state.instance, &state.forest, Some(&[ed.u, ed.v]))
                 } else {
                     (state.forest.clone(), 0)
                 }
@@ -708,6 +690,76 @@ mod tests {
         assert_eq!(out.forest, before.forest);
         assert_eq!(out.moves, 0);
         assert!(Arc::ptr_eq(s.cached_graph().unwrap(), &g));
+    }
+
+    #[test]
+    fn reweight_rejects_weights_at_or_above_inf_without_touching_state() {
+        let g = Arc::new(generators::path(6, 2));
+        let mut s = session_on(&g);
+        let (_, before) = s.add_demand(&[NodeId(0), NodeId(5)]).unwrap();
+        let stats = s.delta_stats();
+        for w in [INF, u64::MAX] {
+            assert_eq!(
+                s.reweight_edge(EdgeId(1), w).unwrap_err(),
+                DeltaError::WeightTooLarge(EdgeId(1)),
+                "w = {w}"
+            );
+            assert_eq!(s.cached_forest().unwrap(), &before.forest);
+            assert!(Arc::ptr_eq(s.cached_graph().unwrap(), &g));
+            assert_eq!(s.cached_fingerprint(), Some(g.fingerprint()));
+            assert_eq!(s.delta_stats(), stats);
+        }
+        // Any weight lifting the total to INF is rejected too; the
+        // largest legal one still repairs to a feasible forest.
+        let others = 4 * 2;
+        assert_eq!(
+            s.reweight_edge(EdgeId(1), INF - others).unwrap_err(),
+            DeltaError::WeightTooLarge(EdgeId(1))
+        );
+        let out = s.reweight_edge(EdgeId(1), INF - others - 1).unwrap();
+        assert!(s
+            .cached_instance()
+            .unwrap()
+            .is_feasible(s.cached_graph().unwrap(), &out.forest));
+    }
+
+    #[test]
+    fn race_adopts_scratch_only_when_strictly_lighter() {
+        // Unit square, demand {0, 2}: both sides are optimal paths.
+        let mut b = dsf_graph::GraphBuilder::new(4);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+            b.add_edge(NodeId(u), NodeId(v), 1).unwrap();
+        }
+        let g = b.build().unwrap();
+        let inst = InstanceBuilder::new(&g)
+            .component(&[NodeId(0), NodeId(2)])
+            .build()
+            .unwrap();
+        let scratch = conformance::scratch_solve(&g, &inst);
+        assert_eq!(scratch.weight(&g), 2);
+        // A heavier patched forest loses; its move count survives.
+        let bloated = ForestSolution::from_edges(vec![EdgeId(0), EdgeId(1), EdgeId(2)]);
+        assert_eq!(race_scratch(&g, &inst, (bloated, 5)), (scratch.clone(), 5));
+        // A tie keeps the patched forest (the other side), bit for bit.
+        let other_side: Vec<EdgeId> = (0..4)
+            .map(EdgeId)
+            .filter(|e| !scratch.contains(*e))
+            .collect();
+        let tie = ForestSolution::from_edges(other_side);
+        assert_ne!(tie, scratch);
+        assert_eq!(race_scratch(&g, &inst, (tie.clone(), 7)), (tie, 7));
+        // A heavier candidate keeps the patched forest: find a small
+        // instance where the exact optimum beats the scratch solve.
+        let (g, inst, opt) = (0..200)
+            .find_map(|seed| {
+                let g = generators::gnp_connected(10, 0.35, 20, seed);
+                let inst = dsf_steiner::random_instance(&g, 3, 2, seed);
+                let opt = dsf_steiner::exact::solve(&g, &inst).forest;
+                (opt.weight(&g) < conformance::scratch_solve(&g, &inst).weight(&g))
+                    .then_some((g, inst, opt))
+            })
+            .expect("some small instance where scratch is not optimal");
+        assert_eq!(race_scratch(&g, &inst, (opt.clone(), 3)), (opt, 3));
     }
 
     #[test]

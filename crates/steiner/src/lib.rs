@@ -16,11 +16,14 @@
 //!   phases;
 //! * [`greedy`] — the sequential gluttonous greedy of Gupta–Kumar
 //!   (arXiv:1412.7693), the "beat the 2+ε line" reference solver;
-//! * [`local_search`] — the swap/replace local-search improver of Groß
-//!   et al. (arXiv:1707.02753), a post-processor over any solution;
-//! * [`repair`] — forest surgery for incremental re-solves: contracted
-//!   reconnection of a terminal set and whole-component reroutes, the
-//!   moves `dsf-service`'s delta API repairs cached forests with;
+//! * [`repair`] — the one forest improver, [`repair::optimize`]: a
+//!   fixpoint over swap/replace (Groß et al., arXiv:1707.02753),
+//!   whole-component-reroute and Steiner-elimination moves, optionally
+//!   scoped to the trees a delta dirtied, plus the contracted
+//!   reconnection of a terminal set (`dsf-service`'s delta API repairs
+//!   cached forests with both);
+//! * [`local_search`] — [`local_search::improve`], the unscoped
+//!   [`repair::optimize`] as a post-processor over any solution;
 //! * [`exact`] — an exact Steiner forest solver for small instances
 //!   (minimum over component partitions of per-block Dreyfus–Wagner trees),
 //!   the ground truth for every approximation-ratio experiment.

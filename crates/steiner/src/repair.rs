@@ -1,43 +1,37 @@
-//! Repair moves for incrementally maintained forests.
+//! The forest improver and the repair moves behind it.
 //!
-//! The delta API in `dsf-service` patches a cached [`ForestSolution`]
-//! after a demand or weight change instead of re-solving. Two primitives
-//! live here because they are pure forest surgery, independent of any
-//! session state:
+//! Two entry points, both pure forest surgery independent of any session
+//! state:
 //!
 //! * [`connect_terminals`] — the *addition* repair: extend a forest until
 //!   a terminal set shares one tree, growing along cheapest contracted
 //!   paths ([`dsf_graph::dijkstra::multi_source_with`] with selected
 //!   edges at weight 0) exactly like the gluttonous greedy realizes its
 //!   merges;
-//! * [`reroute_components`] — a *global* repair move the swap/replace
-//!   local search of [`crate::local_search`] does not have: tear one
-//!   input component out of the forest entirely (prune against the
-//!   instance without it) and rebuild its connection from scratch over
-//!   the contracted remainder, accepted when strictly lighter.
+//! * [`optimize`] — the crate's one forest improver: a scoped fixpoint
+//!   over *four* move families — the swap/replace moves of Groß et al.
+//!   (swaps screened by a tree-path-maximum walk instead of a trial
+//!   Kruskal per chord, replaces generalized to whole degree-2
+//!   segments), a whole-component reroute, and a Steiner-elimination
+//!   move that deletes a non-terminal branch vertex's edges wholesale
+//!   and reconnects, escaping local optima where every one-edge trade is
+//!   blocked.
+//!
+//! [`crate::local_search::improve`] is [`optimize`] run unscoped, and
+//! the delta API in `dsf-service` finishes every patched cached forest
+//! with a scoped [`optimize`]: scanning is restricted to the trees a
+//! delta actually dirtied, so steady-state repairs cost a fraction of a
+//! from-scratch solve. Every accepted move strictly decreases integer
+//! weight, so the fixpoint is reached in finitely many rounds.
 //!
 //! The reroute move matters after removals. A cached forest can carry a
 //! multi-edge detour that once rode for free on a since-departed
-//! component's tree; swap/replace moves only ever trade one edge at a
-//! time and can settle on such a detour, while a whole-component reroute
-//! re-chooses the connection in one step.
-//!
-//! [`optimize`] is the repair pipeline's finishing engine: a scoped
-//! fixpoint over *four* move families — the swap/replace moves of
-//! [`crate::local_search`] (swaps screened by a tree-path-maximum walk
-//! instead of a trial Kruskal per chord), the whole-component reroute,
-//! and a Steiner-elimination move that deletes a non-terminal branch
-//! vertex's edges wholesale and reconnects, escaping local optima where
-//! every one-edge trade is blocked. Scanning is restricted to the trees
-//! a delta actually dirtied, so steady-state repairs cost a fraction of
-//! a from-scratch solve; every accepted move strictly decreases integer
-//! weight, so the fixpoint is reached in finitely many rounds.
-//! [`rebuild`] supplies a from-nothing candidate for callers that want
-//! to race a patched cache after structural damage.
+//! component's tree; one-edge trades can settle on such a detour, while
+//! a whole-component reroute re-chooses the connection in one step.
 
 use dsf_graph::{dijkstra, EdgeId, NodeId, Weight, WeightedGraph, INF};
 
-use crate::instance::{ComponentId, Instance, InstanceBuilder};
+use crate::instance::Instance;
 use crate::solution::ForestSolution;
 
 /// Extends `f` until every node of `terminals` lies in one tree.
@@ -100,74 +94,6 @@ pub fn connect_terminals(
     picked.lightest_spanning_forest(g)
 }
 
-/// One accepted reroute: which component was rebuilt and the total forest
-/// weight after the move (strictly decreasing across the returned trace).
-pub type RerouteTrace = Vec<(ComponentId, Weight)>;
-
-/// Improves `f` by whole-component reroutes to a fixpoint.
-///
-/// For each input component `c` (ascending id, first improvement wins):
-/// prune `f` against the instance *without* `c` to get the forest the
-/// other components still need, reconnect `c`'s terminals over that
-/// remainder with [`connect_terminals`], prune against the full instance,
-/// and accept iff the result is strictly lighter. Passes repeat until one
-/// accepts nothing.
-///
-/// Never increases weight, never breaks feasibility, deterministic;
-/// idempotent at its fixpoint. Returns the improved forest and the
-/// accepted-move trace.
-pub fn reroute_detailed(
-    g: &WeightedGraph,
-    inst: &Instance,
-    f: &ForestSolution,
-) -> (ForestSolution, RerouteTrace) {
-    let mut cur = f.lightest_spanning_forest(g).prune_to_minimal(g, inst);
-    let mut accepted = RerouteTrace::new();
-    loop {
-        let mut moved = false;
-        for c in 0..inst.k() {
-            let terms = &inst.components()[c];
-            if terms.len() < 2 {
-                continue;
-            }
-            let others = instance_without(g, inst, c);
-            let base = cur.prune_to_minimal(g, &others);
-            let candidate = connect_terminals(g, &base, terms).prune_to_minimal(g, inst);
-            if candidate.weight(g) < cur.weight(g) {
-                cur = candidate;
-                accepted.push((ComponentId(c as u32), cur.weight(g)));
-                moved = true;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-    (cur, accepted)
-}
-
-/// [`reroute_detailed`] without the trace.
-pub fn reroute_components(
-    g: &WeightedGraph,
-    inst: &Instance,
-    f: &ForestSolution,
-) -> ForestSolution {
-    reroute_detailed(g, inst, f).0
-}
-
-/// Builds a forest for `inst` from nothing: components connected in
-/// instance order via [`connect_terminals`] (later components ride the
-/// earlier selection for free), pruned to minimal. The cheap full-rebuild
-/// candidate the repair pipeline races against a patched cache when the
-/// cache might be stale wholesale.
-pub fn rebuild(g: &WeightedGraph, inst: &Instance) -> ForestSolution {
-    let mut f = ForestSolution::empty();
-    for terms in inst.components() {
-        f = connect_terminals(g, &f, terms);
-    }
-    f.prune_to_minimal(g, inst)
-}
-
 /// Improves `start` to a fixpoint of four deterministic move families,
 /// scanning only the *dirty region* seeded by `scope`:
 ///
@@ -177,8 +103,8 @@ pub fn rebuild(g: &WeightedGraph, inst: &Instance) -> ForestSolution {
 /// 2. **path replace** — drop a forest edge, reconnect its sides along
 ///    the cheapest contracted path when feasibility still needs them;
 /// 3. **component reroute** — tear one input component out and rebuild
-///    its connection over the contracted remainder
-///    ([`reroute_detailed`]'s move);
+///    its connection over the contracted remainder with
+///    [`connect_terminals`], accepted when strictly lighter;
 /// 4. **Steiner elimination** — delete a degree-≥3 non-terminal vertex's
 ///    forest edges wholesale and reconnect the split components, the
 ///    multi-edge restructuring none of the one-edge moves can express.
@@ -651,21 +577,10 @@ fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
     out
 }
 
-/// The instance with component `skip` deleted (remaining components keep
-/// their relative order; ids shift down).
-fn instance_without(g: &WeightedGraph, inst: &Instance, skip: usize) -> Instance {
-    let mut b = InstanceBuilder::new(g);
-    for (c, terms) in inst.components().iter().enumerate() {
-        if c != skip {
-            b = b.component(terms);
-        }
-    }
-    b.build().expect("subset of a valid instance stays valid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::InstanceBuilder;
     use dsf_graph::{generators, GraphBuilder};
 
     /// A stale detour: pair {4, 5} still connects over a 4-hop weight-12
@@ -692,15 +607,14 @@ mod tests {
     fn reroute_replaces_a_stale_detour_with_the_direct_connection() {
         let (g, inst, detour) = detour_trap();
         assert_eq!(detour.weight(&g), 12);
-        let (out, trace) = reroute_detailed(&g, &inst, &detour);
+        let (out, moves) = optimize(&g, &inst, &detour, None);
         assert_eq!(out.edges(), &[EdgeId(4)]);
         assert_eq!(out.weight(&g), 8);
-        assert!(!trace.is_empty());
-        let mut prev = detour.weight(&g);
-        for &(_, w) in &trace {
-            assert!(w < prev, "non-decreasing reroute: {w} after {prev}");
-            prev = w;
-        }
+        assert!(moves > 0);
+        // The detour's own trees are the whole damage: a scope seeded
+        // with just its endpoints finds the same reroute.
+        let (scoped, _) = optimize(&g, &inst, &detour, Some(&[NodeId(4)]));
+        assert_eq!(scoped, out);
     }
 
     #[test]
@@ -709,13 +623,13 @@ mod tests {
             let g = generators::gnp_connected(24, 0.2, 11, seed);
             let inst = crate::random_instance(&g, 4, 2, seed);
             let start = crate::greedy::solve_greedy(&g, &inst);
-            let (once, _) = reroute_detailed(&g, &inst, &start);
+            let (once, _) = optimize(&g, &inst, &start, None);
             assert!(inst.is_feasible(&g, &once), "seed {seed}");
             assert!(once.is_forest(&g), "seed {seed}");
             assert!(once.weight(&g) <= start.weight(&g), "seed {seed}");
-            let (twice, trace) = reroute_detailed(&g, &inst, &once);
+            let (twice, moves) = optimize(&g, &inst, &once, None);
             assert_eq!(once, twice, "seed {seed}");
-            assert!(trace.is_empty(), "seed {seed}: fixpoint still had moves");
+            assert_eq!(moves, 0, "seed {seed}: fixpoint still had moves");
         }
     }
 
@@ -750,8 +664,9 @@ mod tests {
         let g = generators::path(4, 1);
         let inst = InstanceBuilder::new(&g).build().unwrap();
         let full: ForestSolution = (0..3).map(EdgeId).collect();
-        let (out, trace) = reroute_detailed(&g, &inst, &full);
+        let (out, moves) = optimize(&g, &inst, &full, None);
         assert!(out.is_empty());
-        assert!(trace.is_empty());
+        // Normalization drops the unneeded edges before any move runs.
+        assert_eq!(moves, 0);
     }
 }

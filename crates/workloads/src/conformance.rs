@@ -151,8 +151,10 @@ pub fn check_solution(
 }
 
 /// The from-scratch baseline the churn gate holds repaired forests to:
-/// gluttonous greedy followed by the local-search improver, on the
-/// post-delta instance. Deterministic.
+/// gluttonous greedy followed by the forest improver
+/// (`local_search::improve`, i.e. an unscoped `repair::optimize`), on
+/// the post-delta instance. Deterministic. The delta API races exactly
+/// this candidate, so a raced repair is never heavier by construction.
 pub fn scratch_solve(g: &WeightedGraph, inst: &Instance) -> ForestSolution {
     local_search::improve(g, inst, &greedy::solve_greedy(g, inst))
 }
