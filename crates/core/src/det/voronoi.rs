@@ -85,11 +85,10 @@ impl Protocol for VorNode {
     fn round(&mut self, ctx: &NodeCtx, inbox: &[(NodeId, VorMsg)], out: &mut Outbox<VorMsg>) {
         if self.status == VorStatus::Free {
             for &(from, msg) in inbox {
-                let edge = ctx
-                    .neighbors()
-                    .iter()
-                    .find(|&&(nb, _)| nb == from)
-                    .map(|&(_, e)| e)
+                let nbrs = ctx.neighbors();
+                let edge = nbrs
+                    .binary_search_by_key(&from, |&(nb, _)| nb)
+                    .map(|i| nbrs[i].1)
                     .expect("sender is a neighbor");
                 let cand = msg.offset + Dyadic::from_weight(ctx.weight(edge));
                 let better = match &self.best {

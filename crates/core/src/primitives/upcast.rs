@@ -311,13 +311,10 @@ pub fn filtered_upcast(
     cfg: &CongestConfig,
 ) -> Result<UpcastOutcome, SimError> {
     assert_eq!(local.len(), g.n());
-    let mk_uf = || {
-        let mut uf = UnionFind::new(prior.len());
-        for (i, &rep) in prior.iter().enumerate() {
-            uf.union(i, rep as usize);
-        }
-        uf
-    };
+    let mut prior_uf = UnionFind::new(prior.len());
+    for (i, &rep) in prior.iter().enumerate() {
+        prior_uf.union(i, rep as usize);
+    }
     let root = g
         .nodes()
         .find(|v| parent[v.idx()].is_none())
@@ -332,7 +329,7 @@ pub fn filtered_upcast(
                 .iter()
                 .map(|&c| std::cmp::Reverse(c))
                 .collect(),
-            uf: mk_uf(),
+            uf: prior_uf.clone(),
             watermark: vec![None; children[v.idx()].len()],
             child_done: vec![false; children[v.idx()].len()],
             sent_done: false,
