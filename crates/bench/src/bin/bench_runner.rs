@@ -10,9 +10,17 @@
 //! bench_runner --churn [--quick] [--out PATH]              # churn mode
 //! ```
 //!
+//! Every mode writes one `dsf-bench/v5` report ([`dsf_bench::record`]):
+//! a `tier` (the mode), a `mode` (`quick` or `full`), and one record per
+//! workload whose values are split into `det` (identical on every machine
+//! and thread count), `wall` (timings), and `obs` (configuration,
+//! scheduling and memory facts). The default output is
+//! `BENCH_<tier>.json` (`BENCH_scale.json` for both scale modes). The
+//! records print as one table, followed by the mode's gate line.
+//!
 //! **Executor mode** (default) times the execution engines and solvers and
-//! writes `BENCH_executor.json`. With `--check BASELINE` the deterministic
-//! metrics (n, m, rounds, messages, activations) are compared against the
+//! writes `BENCH_executor.json`. With `--check BASELINE` the `det` values
+//! (n, m, rounds, messages, activations) are compared against the
 //! checked-in baseline and any drift exits non-zero; wall-clock, thread
 //! count, and speedup are report-only. After an intentional change,
 //! regenerate the baseline by copying the fresh output over it.
@@ -36,9 +44,19 @@
 //!
 //! **Conformance mode** (`--conformance`) sweeps the corpus tier through
 //! the differential oracle (`dsf_workloads::conformance`), writes
-//! `BENCH_conformance.json` (per-family ratio distribution), and exits
-//! non-zero when any solver violates feasibility, determinism, the
-//! certified ratio bounds, or the CONGEST bandwidth budget.
+//! `BENCH_conformance.json` (one record per solver × corpus entry),
+//! prints the per-family and per-solver ratio summaries derived from the
+//! records, and exits non-zero when any solver violates feasibility,
+//! determinism, the certified ratio bounds, the CONGEST bandwidth budget,
+//! or the beat-the-det condition.
+//!
+//! **Service mode** (`--service`) benchmarks the batched solver service
+//! (`dsf-service`) over the workloads corpus at batch sizes {1, 16, 256}
+//! and worker counts {1, 4}, writing `BENCH_service.json` (throughput in
+//! solves/sec). Two guarantees are asserted in-harness before any record
+//! is emitted: batched results are bit-identical to one-at-a-time solves,
+//! and warm sessions allocate no arenas. Like scale mode there is no
+//! baseline (`--check` is rejected) — wall-clock is the product.
 //!
 //! **Server mode** (`--server`) benchmarks the streaming server
 //! (`dsf-server`) under open-loop load at offered rates ×{0.5, 1, 2} of
@@ -47,21 +65,6 @@
 //! (saturation rejects, cancellations and expired deadlines reported)
 //! and per-job bit-identity to direct solves. No baseline (`--check` is
 //! rejected).
-//!
-//! Every mode prints the effective worker-thread count in its header, so
-//! a malformed `DSF_THREADS` cannot silently run a gate single-threaded —
-//! and, next to it, the process-wide work-stealing observability totals
-//! (sharded runs, worker-rounds, slots, steals, idle waits from
-//! `dsf_congest::sched_obs_totals`), which are report-only by contract:
-//! the deterministic gates are blind to them.
-//!
-//! **Service mode** (`--service`) benchmarks the batched solver service
-//! (`dsf-service`) over the workloads corpus at batch sizes {1, 16, 256}
-//! and worker counts {1, 4}, writing `BENCH_service.json` (throughput in
-//! solves/sec). Two guarantees are asserted in-harness before any entry
-//! is emitted: batched results are bit-identical to one-at-a-time solves,
-//! and warm sessions allocate no arenas. Like scale mode there is no
-//! baseline (`--check` is rejected) — wall-clock is the product.
 //!
 //! **Churn mode** (`--churn`) replays the seeded arrival/departure/
 //! reweight traces (`dsf_workloads::churn`) through the solver service's
@@ -74,15 +77,19 @@
 //! at least 2× faster than scratch on a strict majority of steps. No
 //! baseline (`--check` is rejected).
 //!
+//! Every mode prints the effective worker-thread count in its header, so
+//! a malformed `DSF_THREADS` cannot silently run a gate single-threaded —
+//! and, next to it, the process-wide work-stealing observability totals
+//! (sharded runs, worker-rounds, slots, steals, idle waits from
+//! `dsf_congest::sched_obs_totals`), which are report-only by contract:
+//! the deterministic gates are blind to them.
+//!
 //! Unknown flags are rejected with a usage message (exit code 2).
 
 use std::process::ExitCode;
 
-use dsf_bench::churn;
-use dsf_bench::conformance;
-use dsf_bench::perf::{self, BenchReport};
-use dsf_bench::server;
-use dsf_bench::service;
+use dsf_bench::record::{Record, Report};
+use dsf_bench::{churn, conformance, perf, server, service};
 
 const USAGE: &str = "\
 usage: bench_runner [--quick] [--out PATH] [--check BASELINE]
@@ -96,8 +103,10 @@ usage: bench_runner [--quick] [--out PATH] [--check BASELINE]
   --quick        CI smoke sizes (quick corpus tier in conformance mode,
                  shrunken graphs in scale mode)
   --out PATH     output JSON path (default BENCH_executor.json,
-                 BENCH_scale.json with --scale/--scale-xl, or
-                 BENCH_conformance.json with --conformance)
+                 BENCH_scale.json with --scale/--scale-xl,
+                 BENCH_conformance.json with --conformance,
+                 BENCH_service.json with --service, BENCH_server.json
+                 with --server, or BENCH_churn.json with --churn)
   --check PATH   executor mode only: gate deterministic metrics against a
                  checked-in baseline report
   --scale        run the sharded-executor scaling tier (large graphs,
@@ -118,14 +127,19 @@ usage: bench_runner [--quick] [--out PATH] [--check BASELINE]
                  over seeded churn traces, with in-harness repair-quality,
                  thread-count bit-identity, and majority-2x-speedup gates)";
 
+/// The mode flags and the tier each selects; no flag is `executor`.
+const MODES: [(&str, &str); 6] = [
+    ("--scale", "scale"),
+    ("--scale-xl", "scale-xl"),
+    ("--conformance", "conformance"),
+    ("--service", "service"),
+    ("--server", "server"),
+    ("--churn", "churn"),
+];
+
 struct Args {
     quick: bool,
-    scale: bool,
-    scale_xl: bool,
-    conformance: bool,
-    service: bool,
-    server: bool,
-    churn: bool,
+    tier: &'static str,
     out: Option<String>,
     check: Option<String>,
 }
@@ -138,15 +152,11 @@ fn usage_error(msg: &str) -> ExitCode {
 fn parse(raw: &[String]) -> Result<Args, String> {
     let mut args = Args {
         quick: false,
-        scale: false,
-        scale_xl: false,
-        conformance: false,
-        service: false,
-        server: false,
-        churn: false,
+        tier: "executor",
         out: None,
         check: None,
     };
+    let mut modes = 0;
     let mut it = raw.iter();
     // A flag's path value must not itself look like a flag — otherwise
     // `--out --quick` would silently eat the mode switch.
@@ -159,40 +169,22 @@ fn parse(raw: &[String]) -> Result<Args, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => args.quick = true,
-            "--scale" => args.scale = true,
-            "--scale-xl" => args.scale_xl = true,
-            "--conformance" => args.conformance = true,
-            "--service" => args.service = true,
-            "--server" => args.server = true,
-            "--churn" => args.churn = true,
             "--out" => args.out = Some(path_value("--out", it.next())?),
             "--check" => args.check = Some(path_value("--check", it.next())?),
-            other => return Err(format!("unknown flag {other:?}")),
+            other => {
+                let &(_, tier) = MODES
+                    .iter()
+                    .find(|(flag, _)| *flag == other)
+                    .ok_or_else(|| format!("unknown flag {other:?}"))?;
+                args.tier = tier;
+                modes += 1;
+            }
         }
     }
-    if (args.conformance
-        || args.scale
-        || args.scale_xl
-        || args.service
-        || args.server
-        || args.churn)
-        && args.check.is_some()
-    {
+    if args.tier != "executor" && args.check.is_some() {
         return Err("--check applies to executor mode only".into());
     }
-    if [
-        args.conformance,
-        args.scale,
-        args.scale_xl,
-        args.service,
-        args.server,
-        args.churn,
-    ]
-    .iter()
-    .filter(|&&m| m)
-    .count()
-        > 1
-    {
+    if modes > 1 {
         return Err(
             "--scale, --scale-xl, --conformance, --service, --server, and --churn \
              are mutually exclusive"
@@ -208,16 +200,85 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => return usage_error(&e),
     };
-    if args.conformance {
-        run_conformance(&args)
-    } else if args.service {
-        run_service(&args)
-    } else if args.server {
-        run_server(&args)
-    } else if args.churn {
-        run_churn(&args)
+    let default_out = match args.tier {
+        "scale" | "scale-xl" => "BENCH_scale.json".to_string(),
+        tier => format!("BENCH_{tier}.json"),
+    };
+    let out_path = args.out.clone().unwrap_or(default_out);
+    // Each collect() panics (non-zero exit) when one of its in-harness
+    // asserts fails — those are the service, server, churn, and scale
+    // gates. Conformance returns its oracle violations instead.
+    let quick = args.quick;
+    let (report, violations) = match args.tier {
+        "scale" => (perf::collect_scale(quick), Vec::new()),
+        "scale-xl" => (perf::collect_scale_xl(quick), Vec::new()),
+        "conformance" => conformance::collect(quick),
+        "service" => (service::collect(quick), Vec::new()),
+        "server" => (server::collect(quick), Vec::new()),
+        "churn" => (churn::collect(quick), Vec::new()),
+        _ => (perf::collect(quick), Vec::new()),
+    };
+    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
+        eprintln!("cannot write {out_path}: {e}");
+        return ExitCode::FAILURE;
+    }
+
+    println!(
+        "# bench_runner {} ({} mode) -> {out_path}\n# {}\n# {}\n",
+        report.tier,
+        report.mode,
+        threads_header(),
+        sched_obs_header()
+    );
+    if report.tier == "conformance" {
+        print_conformance(&report.records);
     } else {
-        run_executor(&args)
+        print_records(&report.records);
+    }
+    match report.tier.as_str() {
+        "scale-xl" => println!(
+            "\nscale-xl gate: t=1/t=4 metrics bit-identical and peak memory within \
+             {} B/node",
+            perf::XL_BYTES_PER_NODE_BUDGET
+        ),
+        "service" => println!(
+            "\nservice gate: batched == sequential (bit-identical) and 0 steady-state arena \
+             builds"
+        ),
+        "server" => println!(
+            "\nserver gate: admission probes passed (saturation rejects, cancel/deadline \
+             reported) and every job bit-identical to its direct solve"
+        ),
+        "churn" => {
+            let fast = report
+                .records
+                .iter()
+                .filter(|r| r.wall.get("speedup_milli").is_some_and(|s| s >= 2000))
+                .count();
+            println!(
+                "\nchurn gate: every repair feasible, within the certified bound, <= scratch \
+                 weight; replay bit-identical across thread counts; >=2x speedup on {fast} of \
+                 {} steps",
+                report.records.len()
+            );
+        }
+        _ => {}
+    }
+
+    if report.tier == "conformance" {
+        if violations.is_empty() {
+            println!("conformance gate: no violations");
+        } else {
+            eprintln!("\nconformance gate FAILED ({}):", violations.len());
+            for v in &violations {
+                eprintln!("  {v}");
+            }
+            return ExitCode::FAILURE;
+        }
+    }
+    match &args.check {
+        Some(baseline_path) => check(&report, baseline_path, &out_path),
+        None => ExitCode::SUCCESS,
     }
 }
 
@@ -247,187 +308,72 @@ fn sched_obs_header() -> String {
     )
 }
 
-fn run_server(args: &Args) -> ExitCode {
-    let out_path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_server.json".into());
-    // collect() panics (non-zero exit) if an admission-control probe or a
-    // bit-identity assert fails — those are this mode's gate.
-    let report = server::collect(args.quick);
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
+/// A value as printed in the record table: `_ns` in milliseconds,
+/// `_milli` divided by 1000, `_bytes` in MiB, everything else verbatim.
+fn cell(key: &str, v: u64) -> String {
+    if key.ends_with("_ns") {
+        format!("{:.3} ms", v as f64 / 1e6)
+    } else if key.ends_with("_milli") {
+        format!("{:.3}", v as f64 / 1000.0)
+    } else if key.ends_with("_bytes") {
+        format!("{:.1} MiB", v as f64 / (1 << 20) as f64)
+    } else {
+        v.to_string()
     }
-
-    println!(
-        "# bench_runner --server ({} mode) -> {out_path}\n# {}\n# {}\n",
-        report.mode,
-        threads_header(),
-        sched_obs_header()
-    );
-    println!(
-        "{:<24} {:>5} {:>3} {:>5} {:>6} {:>9} {:>11} {:>11} {:>11} {:>10}",
-        "workload", "jobs", "w", "cap", "rate", "rounds", "messages", "p50", "p99", "solves/s"
-    );
-    for e in &report.entries {
-        let rate = if e.rate_milli_x == 0 {
-            "closed".to_string()
-        } else {
-            format!("x{:.1}", e.rate_milli_x as f64 / 1000.0)
-        };
-        println!(
-            "{:<24} {:>5} {:>3} {:>5} {:>6} {:>9} {:>11} {:>8.3} ms {:>8.3} ms {:>10.3}",
-            e.name,
-            e.jobs,
-            e.workers,
-            e.queue_capacity,
-            rate,
-            e.rounds,
-            e.messages,
-            e.p50_ns as f64 / 1e6,
-            e.p99_ns as f64 / 1e6,
-            e.solves_per_sec_milli as f64 / 1000.0,
-        );
-    }
-    println!(
-        "\nserver gate: admission probes passed (saturation rejects, cancel/deadline reported) \
-         and every job bit-identical to its direct solve"
-    );
-    ExitCode::SUCCESS
 }
 
-fn run_churn(args: &Args) -> ExitCode {
-    let out_path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_churn.json".into());
-    // collect() panics (non-zero exit) if a repaired forest fails the
-    // churn-differential oracle, the replay drifts across thread counts,
-    // or the majority-2x-speedup gate is missed — those are this mode's
-    // gate.
-    let report = churn::collect(args.quick);
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
+/// One table over all records: the name, then every key of every class
+/// in first-appearance order (`-` where a record lacks the key).
+fn print_records(records: &[Record]) {
+    // (index into `Record::classes`, key)
+    let mut columns: Vec<(usize, &str)> = Vec::new();
+    for r in records {
+        for (c, (_, fields)) in r.classes().into_iter().enumerate() {
+            for (key, _) in fields.iter() {
+                if !columns.contains(&(c, key)) {
+                    columns.push((c, key));
+                }
+            }
+        }
     }
-
-    println!(
-        "# bench_runner --churn ({} mode) -> {out_path}\n# {}\n# {}\n",
-        report.mode,
-        threads_header(),
-        sched_obs_header()
-    );
-    println!(
-        "{:<38} {:>2} {:>5} {:>7} {:>9} {:>7} {:>7} {:>9} {:>11} {:>11} {:>11} {:>8}",
-        "workload",
-        "k",
-        "moves",
-        "weight",
-        "scratch",
-        "ratio",
-        "bound",
-        "rounds",
-        "messages",
-        "repair",
-        "scratch t",
-        "speedup"
-    );
-    for e in &report.entries {
-        println!(
-            "{:<38} {:>2} {:>5} {:>7} {:>9} {:>7.3} {:>7.3} {:>9} {:>11} {:>8.3} ms {:>8.3} ms {:>7.1}x",
-            e.name,
-            e.k,
-            e.moves,
-            e.weight,
-            e.scratch_weight,
-            e.ratio_milli as f64 / 1000.0,
-            e.bound_milli as f64 / 1000.0,
-            e.rounds,
-            e.messages,
-            e.repair_wall_ns as f64 / 1e6,
-            e.scratch_wall_ns as f64 / 1e6,
-            e.speedup_milli as f64 / 1000.0,
+    let mut rows: Vec<Vec<String>> = vec![std::iter::once("workload")
+        .chain(columns.iter().map(|&(_, key)| key))
+        .map(str::to_string)
+        .collect()];
+    for r in records {
+        let classes = r.classes();
+        rows.push(
+            std::iter::once(r.name.clone())
+                .chain(columns.iter().map(|&(c, key)| {
+                    classes[c]
+                        .1
+                        .get(key)
+                        .map_or_else(|| "-".into(), |v| cell(key, v))
+                }))
+                .collect(),
         );
     }
-    let fast = report
-        .entries
-        .iter()
-        .filter(|e| e.speedup_milli >= 2000)
-        .count();
-    println!(
-        "\nchurn gate: every repair feasible, within the certified bound, <= scratch weight; \
-         replay bit-identical across thread counts; >=2x speedup on {fast} of {} steps",
-        report.entries.len()
-    );
-    ExitCode::SUCCESS
+    let widths: Vec<usize> = (0..=columns.len())
+        .map(|c| rows.iter().map(|row| row[c].len()).max().unwrap_or(0))
+        .collect();
+    for row in &rows {
+        let mut line = format!("{:<w$}", row[0], w = widths[0]);
+        for (value, &w) in row.iter().zip(&widths).skip(1) {
+            line.push_str(&format!(" {value:>w$}"));
+        }
+        println!("{line}");
+    }
 }
 
-fn run_service(args: &Args) -> ExitCode {
-    let out_path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_service.json".into());
-    // collect() panics (non-zero exit) if a determinism or allocation
-    // guarantee is violated — those asserts are this mode's gate.
-    let report = service::collect(args.quick);
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    println!(
-        "# bench_runner --service ({} mode) -> {out_path}\n# {}\n# {}\n",
-        report.mode,
-        threads_header(),
-        sched_obs_header()
-    );
-    println!(
-        "{:<44} {:>5} {:>3} {:>9} {:>11} {:>7} {:>7} {:>12} {:>10}",
-        "workload", "jobs", "w", "rounds", "messages", "reuses", "builds", "wall", "solves/s"
-    );
-    for e in &report.entries {
-        println!(
-            "{:<44} {:>5} {:>3} {:>9} {:>11} {:>7} {:>7} {:>9.3} ms {:>10.3}",
-            e.name,
-            e.jobs,
-            e.workers,
-            e.rounds,
-            e.messages,
-            e.arena_reuses,
-            e.arena_builds,
-            e.wall_ns as f64 / 1e6,
-            e.solves_per_sec_milli as f64 / 1000.0,
-        );
-    }
-    println!(
-        "\nservice gate: batched == sequential (bit-identical) and 0 steady-state arena builds"
-    );
-    ExitCode::SUCCESS
-}
-
-fn run_conformance(args: &Args) -> ExitCode {
-    let out_path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_conformance.json".into());
-    let report = conformance::collect(args.quick);
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    println!(
-        "# bench_runner --conformance ({} mode) -> {out_path}\n# {}\n# {}\n",
-        report.mode,
-        threads_header(),
-        sched_obs_header()
-    );
+/// The conformance summaries, derived from the records: the ratio
+/// distribution per family and solver, the per-solver aggregate, and the
+/// beat-the-det count.
+fn print_conformance(records: &[Record]) {
     println!(
         "{:<28} {:>11} {:>11} {:>11}",
         "family/solver", "min ratio", "mean ratio", "max ratio"
     );
-    for (key, min, mean, max) in report.family_summary() {
+    for (key, min, mean, max) in conformance::family_summary(records) {
         println!(
             "{key:<28} {:>11.3} {:>11.3} {:>11.3}",
             min as f64 / 1000.0,
@@ -439,7 +385,7 @@ fn run_conformance(args: &Args) -> ExitCode {
         "\n{:<22} {:>7} {:>9} {:>11} {:>11} {:>11}",
         "solver", "entries", "families", "mean ratio", "max ratio", "max bound"
     );
-    for s in &report.solvers {
+    for s in conformance::solver_summaries(records) {
         println!(
             "{:<22} {:>7} {:>9} {:>11.3} {:>11.3} {:>11.3}",
             s.solver,
@@ -450,119 +396,23 @@ fn run_conformance(args: &Args) -> ExitCode {
             s.max_bound_milli as f64 / 1000.0
         );
     }
-    let (beaten, compared) = conformance::families_beating_det(&report.entries);
+    let (beaten, compared) = conformance::families_beating_det(records);
     println!(
         "\ngreedy+local_search beats det's mean ratio on {beaten} of {compared} \
          families (gate: >= {})",
         compared.div_ceil(2)
     );
     println!(
-        "{} records over {} mode corpus (ratio = weight / certified upper bound)",
-        report.entries.len(),
-        report.mode
+        "{} records (ratio = weight / certified upper bound)",
+        records.len()
     );
-
-    if report.violations.is_empty() {
-        println!("conformance gate: no violations");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("\nconformance gate FAILED ({}):", report.violations.len());
-        for v in &report.violations {
-            eprintln!("  {v}");
-        }
-        ExitCode::FAILURE
-    }
 }
 
-fn run_executor(args: &Args) -> ExitCode {
-    let default_out = if args.scale_xl || args.scale {
-        "BENCH_scale.json"
-    } else {
-        "BENCH_executor.json"
-    };
-    let out_path = args.out.clone().unwrap_or_else(|| default_out.into());
-    let report = if args.scale_xl {
-        perf::collect_scale_xl(args.quick)
-    } else if args.scale {
-        perf::collect_scale(args.quick)
-    } else {
-        perf::collect(args.quick)
-    };
-    let json = report.to_json();
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    println!(
-        "# bench_runner ({} mode) -> {out_path}\n# {}\n# {}\n",
-        report.mode,
-        threads_header(),
-        sched_obs_header()
-    );
-    println!(
-        "{:<44} {:>8} {:>9} {:>3} {:>9} {:>11} {:>12} {:>12} {:>8} {:>7} {:>6} {:>10}",
-        "workload",
-        "n",
-        "m",
-        "t",
-        "rounds",
-        "messages",
-        "activations",
-        "mean wall",
-        "speedup",
-        "steals",
-        "util",
-        "mem peak"
-    );
-    for e in &report.entries {
-        let speedup = e
-            .speedup_milli
-            .map(|s| format!("{:.2}x", s as f64 / 1000.0))
-            .unwrap_or_else(|| "-".into());
-        let mem = e
-            .mem_peak_bytes
-            .map(|b| format!("{:.1} MiB", b as f64 / (1 << 20) as f64))
-            .unwrap_or_else(|| "-".into());
-        let steals = e
-            .steals
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| "-".into());
-        let util = e
-            .utilization_milli
-            .map(|u| format!("{:.0}%", u as f64 / 10.0))
-            .unwrap_or_else(|| "-".into());
-        println!(
-            "{:<44} {:>8} {:>9} {:>3} {:>9} {:>11} {:>12} {:>9.3} ms {:>8} {:>7} {:>6} {:>10}",
-            e.name,
-            e.n,
-            e.m,
-            e.threads,
-            e.rounds,
-            e.messages,
-            e.activations,
-            e.wall_ns.mean as f64 / 1e6,
-            speedup,
-            steals,
-            util,
-            mem,
-        );
-    }
-
-    if args.scale_xl {
-        println!(
-            "\nscale-xl gate: t=1/t=4 metrics bit-identical and peak memory within \
-             {} B/node",
-            perf::XL_BYTES_PER_NODE_BUDGET
-        );
-    }
-
-    let Some(baseline_path) = &args.check else {
-        return ExitCode::SUCCESS;
-    };
+/// The `--check` gate: `det` drift against the baseline at `baseline_path`.
+fn check(report: &Report, baseline_path: &str, out_path: &str) -> ExitCode {
     let baseline = match std::fs::read_to_string(baseline_path)
         .map_err(|e| e.to_string())
-        .and_then(|s| BenchReport::parse(&s))
+        .and_then(|s| Report::parse(&s))
     {
         Ok(b) => b,
         Err(e) => {
@@ -570,7 +420,7 @@ fn run_executor(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let drifts = report.diff_deterministic(&baseline);
+    let drifts = report.diff_det(&baseline);
     if drifts.is_empty() {
         println!("\nperf gate: no executor-metric drift vs {baseline_path}");
         ExitCode::SUCCESS

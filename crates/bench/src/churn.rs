@@ -33,126 +33,28 @@
 //! baseline (`--check` is rejected): wall-clock is the product and the
 //! in-harness asserts are the gate.
 //!
-//! # JSON schema (`dsf-bench-churn/v1`)
+//! # Records (tier `churn`)
 //!
-//! ```json
-//! {
-//!   "schema": "dsf-bench-churn/v1",
-//!   "mode": "quick",
-//!   "entries": [
-//!     {"name": "churn/gnp/seed=0/step=03/add", "step": 3, "k": 3,
-//!      "moves": 2, "weight": 41, "scratch_weight": 41,
-//!      "ratio_milli": 1000, "bound_milli": 4000, "rounds": 310,
-//!      "messages": 6200, "repair_wall_ns": 1, "scratch_wall_ns": 9,
-//!      "speedup_milli": 9000}
-//!   ]
-//! }
-//! ```
-//!
-//! `name`, `step`, `k`, `moves`, `weight`, `scratch_weight`,
-//! `ratio_milli`, `bound_milli`, `rounds`, and `messages` are
-//! deterministic (identical on every machine and thread count);
-//! `repair_wall_ns`, `scratch_wall_ns`, and `speedup_milli` are
-//! machine-dependent, report-only, tracked as a trajectory via the CI
-//! artifact. One entry object per line, same line-oriented convention as
-//! the executor schema.
+//! One record per measured step, named
+//! `churn/<family>/seed=<s>/step=<i>/<op>`. `det`: `step`, `k`, `moves`,
+//! `weight`, `scratch_weight`, `ratio_milli`, `bound_milli`, and the
+//! deterministic anchor's `rounds` and `messages` (identical on every
+//! machine and thread count). `wall`: `repair_wall_ns`,
+//! `scratch_wall_ns`, and `speedup_milli` (`1000 × scratch / repair`).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use dsf_service::{DemandId, SolveRequest, SolverKind, SolverSession};
 use dsf_steiner::ForestSolution;
-use dsf_workloads::certify;
 use dsf_workloads::churn::{churn_traces, instance_of, ChurnOp, ChurnTrace};
 use dsf_workloads::conformance;
 use dsf_workloads::corpus::Tier;
+use dsf_workloads::{certify, Certificate};
 
-/// Identifier of the emitted JSON layout.
-pub const SCHEMA: &str = "dsf-bench-churn/v1";
+use crate::record::{Record, Report};
 
-/// One churn-trace step result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChurnBenchEntry {
-    /// Step id, e.g. `churn/gnp/seed=0/step=03/add`.
-    pub name: String,
-    /// Step index within its trace.
-    pub step: usize,
-    /// Active demand components after the delta.
-    pub k: usize,
-    /// `repair::optimize` moves the repair accepted; an adopted scratch
-    /// candidate adds none (deterministic).
-    pub moves: u64,
-    /// Weight of the repaired forest (deterministic).
-    pub weight: u64,
-    /// Weight of the from-scratch solve (scratch = greedy +
-    /// `repair::optimize`) of the post-delta instance (deterministic).
-    pub scratch_weight: u64,
-    /// `⌈1000 · weight / cert_upper⌉` of the repaired forest
-    /// (deterministic).
-    pub ratio_milli: u64,
-    /// The certified ratio ceiling the repair committed to, in milli
-    /// units (deterministic).
-    pub bound_milli: u64,
-    /// Total rounds of the deterministic anchor solve on the post-delta
-    /// instance (deterministic).
-    pub rounds: u64,
-    /// Messages delivered by the deterministic anchor solve
-    /// (deterministic).
-    pub messages: u64,
-    /// Wall-clock of the delta repair in nanoseconds (report-only).
-    pub repair_wall_ns: u64,
-    /// Wall-clock of the from-scratch solve in nanoseconds (report-only).
-    pub scratch_wall_ns: u64,
-    /// `1000 × scratch_wall_ns / repair_wall_ns` (report-only).
-    pub speedup_milli: u64,
-}
-
-/// A full `--churn` report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChurnBenchReport {
-    /// `"quick"` or `"full"`.
-    pub mode: String,
-    /// All entries, trace by trace, step by step.
-    pub entries: Vec<ChurnBenchEntry>,
-}
-
-impl ChurnBenchReport {
-    /// Serializes to the `dsf-bench-churn/v1` JSON layout.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let comma = if i + 1 < self.entries.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"step\": {}, \"k\": {}, \"moves\": {}, \
-                 \"weight\": {}, \"scratch_weight\": {}, \"ratio_milli\": {}, \
-                 \"bound_milli\": {}, \"rounds\": {}, \"messages\": {}, \
-                 \"repair_wall_ns\": {}, \"scratch_wall_ns\": {}, \
-                 \"speedup_milli\": {}}}{comma}\n",
-                e.name,
-                e.step,
-                e.k,
-                e.moves,
-                e.weight,
-                e.scratch_weight,
-                e.ratio_milli,
-                e.bound_milli,
-                e.rounds,
-                e.messages,
-                e.repair_wall_ns,
-                e.scratch_wall_ns,
-                e.speedup_milli,
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-}
-
-/// The op's name segment in an entry id.
+/// The op's name segment in a record name.
 fn op_tag(op: &ChurnOp) -> &'static str {
     match op {
         ChurnOp::Add { .. } => "add",
@@ -226,15 +128,46 @@ fn replay(trace: &ChurnTrace, threads: usize) -> Vec<StepRecord> {
     records
 }
 
+/// The record of one measured step: repair quality and the anchor's
+/// CONGEST columns in `det`, the repair-vs-scratch timings in `wall`.
+/// `rec.repair_wall_ns` must already be positive.
+fn step_record(
+    name: String,
+    step: usize,
+    k: usize,
+    rec: &StepRecord,
+    cert: &Certificate,
+    scratch_weight: u64,
+    scratch_wall_ns: u64,
+) -> Record {
+    let ratio_milli = (1000 * u128::from(rec.weight)).div_ceil(u128::from(cert.upper.max(1)));
+    Record::new(name)
+        .det("step", step as u64)
+        .det("k", k as u64)
+        .det("moves", rec.moves)
+        .det("weight", rec.weight)
+        .det("scratch_weight", scratch_weight)
+        .det("ratio_milli", ratio_milli as u64)
+        .det(
+            "bound_milli",
+            conformance::bound_milli(cert, conformance::GREEDY_FACTOR, 0.0),
+        )
+        .det("rounds", rec.anchor_rounds)
+        .det("messages", rec.anchor_messages)
+        .wall("repair_wall_ns", rec.repair_wall_ns)
+        .wall("scratch_wall_ns", scratch_wall_ns)
+        .wall("speedup_milli", 1000 * scratch_wall_ns / rec.repair_wall_ns)
+}
+
 /// Runs every churn trace and assembles the report, enforcing the three
 /// in-harness gates (repair quality, thread-count bit-identity, majority
 /// 2× speedup).
 ///
 /// `quick` selects the quick trace tier (CI smoke); graphs are full-sized
 /// in both modes — only trace count and length shrink.
-pub fn collect(quick: bool) -> ChurnBenchReport {
+pub fn collect(quick: bool) -> Report {
     let tier = if quick { Tier::Quick } else { Tier::Full };
-    let mut entries = Vec::new();
+    let mut records = Vec::new();
     let mut fast_steps = 0usize;
     let mut total_steps = 0usize;
     // Per-op-kind (fast, total) counters, printed as a diagnostic so a
@@ -244,10 +177,10 @@ pub fn collect(quick: bool) -> ChurnBenchReport {
     for trace in churn_traces(tier) {
         // Gate: the replay is bit-identical across worker-thread counts,
         // for the repair path and the deterministic anchor alike.
-        let base = dsf_congest::with_threads(1, || replay(&trace, 1));
+        let mut base = dsf_congest::with_threads(1, || replay(&trace, 1));
         let alt = dsf_congest::with_threads(4, || replay(&trace, 4));
         assert_eq!(base.len(), alt.len(), "{}: replay length drifted", trace.id);
-        for (i, (a, b)) in base.iter().zip(&alt).enumerate() {
+        for (i, (a, b)) in base.iter_mut().zip(&alt).enumerate() {
             assert!(
                 a.forest == b.forest && a.weight == b.weight && a.moves == b.moves,
                 "{}: step {i}: repair is not bit-identical across thread counts",
@@ -258,6 +191,8 @@ pub fn collect(quick: bool) -> ChurnBenchReport {
                 "{}: step {i}: anchor metrics drifted across thread counts",
                 trace.id
             );
+            // The faster of the two replays is the repair's wall time.
+            a.repair_wall_ns = a.repair_wall_ns.min(b.repair_wall_ns).max(1);
         }
 
         for (i, (step, rec)) in trace.steps().iter().zip(&base).enumerate() {
@@ -281,35 +216,27 @@ pub fn collect(quick: bool) -> ChurnBenchReport {
             );
 
             // Warm-up arrivals seed the cache; the tier measures churn
-            // against a warm session, so they produce no entry and do
+            // against a warm session, so they produce no record and do
             // not count toward the speed gate.
             if i < trace.warmup {
                 continue;
             }
             total_steps += 1;
-            let repair_wall_ns = rec.repair_wall_ns.min(alt[i].repair_wall_ns).max(1);
             let slot = per_op.entry(op_tag(&step.op)).or_insert((0, 0));
             slot.1 += 1;
-            if repair_wall_ns * 2 <= scratch_wall_ns {
+            if rec.repair_wall_ns * 2 <= scratch_wall_ns {
                 fast_steps += 1;
                 slot.0 += 1;
             }
-            entries.push(ChurnBenchEntry {
-                name: format!("{}/step={i:02}/{}", trace.id, op_tag(&step.op)),
-                step: i,
-                k: inst.k(),
-                moves: rec.moves,
-                weight: rec.weight,
+            records.push(step_record(
+                format!("{}/step={i:02}/{}", trace.id, op_tag(&step.op)),
+                i,
+                inst.k(),
+                rec,
+                &cert,
                 scratch_weight,
-                ratio_milli: (1000 * u128::from(rec.weight)).div_ceil(u128::from(cert.upper.max(1)))
-                    as u64,
-                bound_milli: conformance::bound_milli(&cert, conformance::GREEDY_FACTOR, 0.0),
-                rounds: rec.anchor_rounds,
-                messages: rec.anchor_messages,
-                repair_wall_ns,
                 scratch_wall_ns,
-                speedup_milli: (1000 * scratch_wall_ns) / repair_wall_ns,
-            });
+            ));
         }
     }
     for (op, (fast, total)) in &per_op {
@@ -322,10 +249,7 @@ pub fn collect(quick: bool) -> ChurnBenchReport {
         "churn gate: repair was >=2x faster than scratch on only {fast_steps} of \
          {total_steps} measured steps (need a strict majority)"
     );
-    ChurnBenchReport {
-        mode: if quick { "quick" } else { "full" }.to_string(),
-        entries,
-    }
+    Report::new("churn", quick, records)
 }
 
 #[cfg(test)]
@@ -334,28 +258,46 @@ mod tests {
 
     #[test]
     fn json_has_schema_and_one_entry_per_line() {
-        let report = ChurnBenchReport {
-            mode: "quick".into(),
-            entries: vec![ChurnBenchEntry {
-                name: "churn/gnp/seed=0/step=03/add".into(),
-                step: 3,
-                k: 3,
-                moves: 2,
-                weight: 41,
-                scratch_weight: 41,
-                ratio_milli: 1000,
-                bound_milli: 4000,
-                rounds: 310,
-                messages: 6200,
-                repair_wall_ns: 1,
-                scratch_wall_ns: 9,
-                speedup_milli: 9000,
-            }],
+        let rec = StepRecord {
+            forest: ForestSolution::empty(),
+            weight: 41,
+            moves: 2,
+            repair_wall_ns: 1,
+            anchor_rounds: 310,
+            anchor_messages: 6200,
         };
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"dsf-bench-churn/v1\""));
-        assert!(json.contains("\"scratch_weight\": 41"));
-        assert!(json.contains("\"speedup_milli\": 9000"));
+        let cert = Certificate {
+            kind: dsf_workloads::CertificateKind::Exact,
+            lower: 41.0,
+            upper: 41,
+        };
+        let record = step_record(
+            "churn/gnp/seed=0/step=03/add".into(),
+            3,
+            3,
+            &rec,
+            &cert,
+            41,
+            9,
+        );
+        let det = [
+            "step",
+            "k",
+            "moves",
+            "weight",
+            "scratch_weight",
+            "ratio_milli",
+            "bound_milli",
+            "rounds",
+            "messages",
+        ];
+        assert_eq!(record.det.iter().map(|(k, _)| k).collect::<Vec<_>>(), det);
+        assert_eq!(record.det.get("ratio_milli"), Some(1000));
+        assert_eq!(record.det.get("bound_milli"), Some(4000));
+        assert_eq!(record.wall.get("speedup_milli"), Some(9000));
+        let json = Report::new("churn", true, vec![record]).to_json();
+        assert!(json.contains("\"schema\": \"dsf-bench/v5\""));
+        assert!(json.contains("\"tier\": \"churn\""));
         assert_eq!(json.lines().filter(|l| l.contains("\"name\"")).count(), 1);
     }
 

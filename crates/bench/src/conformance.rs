@@ -1,74 +1,30 @@
 //! The `bench_runner --conformance` mode: sweeps the conformance corpus
-//! through the [`dsf_workloads::conformance`] oracle and emits the
-//! per-family ratio distribution as machine-readable JSON
-//! (`BENCH_conformance.json`).
+//! through the [`dsf_workloads::conformance`] oracle and emits one
+//! [`crate::record`] per solver-on-instance (tier `conformance`,
+//! `BENCH_conformance.json`).
 //!
-//! # JSON schema (`dsf-bench-conformance/v2`)
+//! Every value is deterministic, so a record has only a `det` class:
+//! `n`, `m`, `k`, `t`, `weight`, `cert_lower_milli` (the certified lower
+//! bound scaled by 1000 and rounded), `cert_upper`, `ratio_milli`
+//! (`⌈1000 · weight / cert_upper⌉` — an integer so the report is
+//! bit-identical across machines) and `bound_milli` (the ratio ceiling
+//! the oracle held that solver to, so `ratio_milli ≤ bound_milli` is
+//! checkable offline by `tools/check_bench_schema.py`). Record names are
+//! `conformance/<family>/<pattern>/seed=<s>/<solver>`.
 //!
-//! ```json
-//! {
-//!   "schema": "dsf-bench-conformance/v2",
-//!   "mode": "quick",
-//!   "violations": 0,
-//!   "solvers": [
-//!     {"solver": "det", "entries": 36, "families": 9,
-//!      "mean_ratio_milli": 1210, "max_ratio_milli": 1833,
-//!      "max_bound_milli": 2350}
-//!   ],
-//!   "entries": [
-//!     {"name": "conformance/gnp/matched_clusters/seed=0/det", "n": 20,
-//!      "m": 52, "k": 4, "t": 12, "weight": 37, "cert_lower_milli": 30000,
-//!      "cert_upper": 41, "ratio_milli": 903, "bound_milli": 2350}
-//!   ]
-//! }
-//! ```
-//!
-//! One entry object per line (same line-oriented convention as the
-//! executor schema). `ratio_milli` is `⌈1000 · weight / cert_upper⌉` — an
-//! integer so the report is bit-identical across machines;
-//! `cert_lower_milli` is the certified lower bound scaled by 1000 and
-//! rounded. v2 adds, per entry, the ratio ceiling the oracle held that
-//! solver to (`bound_milli`, so `ratio_milli ≤ bound_milli` is checkable
-//! offline by `tools/check_bench_schema.py`) and a per-solver `solvers`
-//! summary block. Everything in the report is deterministic; the gate is
-//! the `violations` count (the runner exits non-zero when it is not 0) —
-//! which since v2 includes the beat-the-det condition: `greedy +
-//! local_search` must match or beat `det`'s mean ratio on at least half
-//! of the graph families.
+//! The gate is the oracle's violation list (the runner exits non-zero
+//! when it is not empty), which includes the beat-the-det condition:
+//! `greedy + local_search` must match or beat `det`'s mean ratio on at
+//! least half of the graph families. The per-family and per-solver
+//! summaries ([`family_summary`], [`solver_summaries`]) are derived from
+//! the records and printed by the runner, not stored.
 
 use dsf_workloads::conformance::{check_entry, EntryOutcome};
 use dsf_workloads::corpus::{corpus, CorpusEntry, Tier};
 
-/// Identifier of the emitted JSON layout.
-pub const SCHEMA: &str = "dsf-bench-conformance/v2";
+use crate::record::{Record, Report};
 
-/// One solver-on-instance record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfEntry {
-    /// Record id: `conformance/<family>/<pattern>/seed=<s>/<solver>`.
-    pub name: String,
-    /// Nodes of the instance graph.
-    pub n: usize,
-    /// Edges of the instance graph.
-    pub m: usize,
-    /// Input components.
-    pub k: usize,
-    /// Terminals.
-    pub t: usize,
-    /// Weight of the solver's forest.
-    pub weight: u64,
-    /// Certified lower bound, scaled by 1000 and rounded.
-    pub cert_lower_milli: u64,
-    /// Certified upper bound on OPT.
-    pub cert_upper: u64,
-    /// `⌈1000 · weight / cert_upper⌉`.
-    pub ratio_milli: u64,
-    /// The ratio ceiling the oracle held this solver to, in milli units
-    /// (`ratio_milli ≤ bound_milli` whenever the gate passed).
-    pub bound_milli: u64,
-}
-
-/// Per-solver aggregate over the whole sweep (the v2 `solvers` block).
+/// Per-solver aggregate over the whole sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolverSummary {
     /// Solver name, e.g. `greedy+local_search`.
@@ -81,21 +37,8 @@ pub struct SolverSummary {
     pub mean_ratio_milli: u64,
     /// Worst achieved `ratio_milli`.
     pub max_ratio_milli: u64,
-    /// Loosest per-entry ceiling the solver was held to.
+    /// Loosest per-record ceiling the solver was held to.
     pub max_bound_milli: u64,
-}
-
-/// A full conformance report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConformanceReport {
-    /// `"quick"` or `"full"`.
-    pub mode: String,
-    /// Oracle violations across the sweep (0 = gate passes).
-    pub violations: Vec<String>,
-    /// Per-solver aggregates, in first-appearance order.
-    pub solvers: Vec<SolverSummary>,
-    /// Per solver-on-instance records, in corpus order.
-    pub entries: Vec<ConfEntry>,
 }
 
 /// Splits a record name `conformance/<family>/<pattern>/seed=<s>/<solver>`
@@ -105,11 +48,18 @@ fn family_solver(name: &str) -> (&str, &str) {
     (parts[1], parts[parts.len() - 1])
 }
 
-/// Aggregates `entries` into the per-solver v2 summary block.
-pub fn solver_summaries(entries: &[ConfEntry]) -> Vec<SolverSummary> {
+/// A `det` value every conformance record carries.
+fn det(r: &Record, key: &str) -> u64 {
+    r.det
+        .get(key)
+        .unwrap_or_else(|| panic!("{}: conformance records carry {key}", r.name))
+}
+
+/// Aggregates `records` per solver, in first-appearance order.
+pub fn solver_summaries(records: &[Record]) -> Vec<SolverSummary> {
     let mut order: Vec<&str> = Vec::new();
-    for e in entries {
-        let (_, solver) = family_solver(&e.name);
+    for r in records {
+        let (_, solver) = family_solver(&r.name);
         if !order.contains(&solver) {
             order.push(solver);
         }
@@ -117,20 +67,21 @@ pub fn solver_summaries(entries: &[ConfEntry]) -> Vec<SolverSummary> {
     order
         .into_iter()
         .map(|solver| {
-            let rs: Vec<&ConfEntry> = entries
+            let rs: Vec<&Record> = records
                 .iter()
-                .filter(|e| family_solver(&e.name).1 == solver)
+                .filter(|r| family_solver(&r.name).1 == solver)
                 .collect();
-            let mut families: Vec<&str> = rs.iter().map(|e| family_solver(&e.name).0).collect();
+            let mut families: Vec<&str> = rs.iter().map(|r| family_solver(&r.name).0).collect();
             families.sort_unstable();
             families.dedup();
+            let ratios = rs.iter().map(|r| det(r, "ratio_milli"));
             SolverSummary {
                 solver: solver.to_string(),
                 entries: rs.len(),
                 families: families.len(),
-                mean_ratio_milli: rs.iter().map(|e| e.ratio_milli).sum::<u64>() / rs.len() as u64,
-                max_ratio_milli: rs.iter().map(|e| e.ratio_milli).max().unwrap_or(0),
-                max_bound_milli: rs.iter().map(|e| e.bound_milli).max().unwrap_or(0),
+                mean_ratio_milli: ratios.clone().sum::<u64>() / rs.len() as u64,
+                max_ratio_milli: ratios.max().unwrap_or(0),
+                max_bound_milli: rs.iter().map(|r| det(r, "bound_milli")).max().unwrap_or(0),
             }
         })
         .collect()
@@ -140,15 +91,15 @@ pub fn solver_summaries(entries: &[ConfEntry]) -> Vec<SolverSummary> {
 /// `greedy+local_search` achieve a mean ratio ≤ `det`'s? Returns
 /// `(families_beaten, families_compared)`; compared via summed
 /// `ratio_milli` (equal record counts per family), so no rounding noise.
-pub fn families_beating_det(entries: &[ConfEntry]) -> (usize, usize) {
-    let mut families: Vec<&str> = entries.iter().map(|e| family_solver(&e.name).0).collect();
+pub fn families_beating_det(records: &[Record]) -> (usize, usize) {
+    let mut families: Vec<&str> = records.iter().map(|r| family_solver(&r.name).0).collect();
     families.sort_unstable();
     families.dedup();
     let sum_for = |family: &str, solver: &str| -> Option<(u64, u64)> {
-        let rs: Vec<u64> = entries
+        let rs: Vec<u64> = records
             .iter()
-            .filter(|e| family_solver(&e.name) == (family, solver))
-            .map(|e| e.ratio_milli)
+            .filter(|r| family_solver(&r.name) == (family, solver))
+            .map(|r| det(r, "ratio_milli"))
             .collect();
         (!rs.is_empty()).then(|| (rs.iter().sum(), rs.len() as u64))
     };
@@ -170,36 +121,63 @@ pub fn families_beating_det(entries: &[ConfEntry]) -> (usize, usize) {
     (beaten, compared)
 }
 
-fn records_of(entry: &CorpusEntry, outcome: &EntryOutcome) -> Vec<ConfEntry> {
+/// Per-`family/solver` ratio distribution (min/mean/max of
+/// `ratio_milli`), in first-appearance order — the human-readable summary
+/// `bench_runner` prints.
+pub fn family_summary(records: &[Record]) -> Vec<(String, u64, u64, u64)> {
+    let mut buckets: Vec<(String, Vec<u64>)> = Vec::new();
+    for r in records {
+        let (family, solver) = family_solver(&r.name);
+        let key = format!("{family}/{solver}");
+        let ratio = det(r, "ratio_milli");
+        match buckets.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, rs)) => rs.push(ratio),
+            None => buckets.push((key, vec![ratio])),
+        }
+    }
+    buckets
+        .into_iter()
+        .map(|(key, rs)| {
+            let min = *rs.iter().min().expect("nonempty bucket");
+            let max = *rs.iter().max().expect("nonempty bucket");
+            let mean = rs.iter().sum::<u64>() / rs.len() as u64;
+            (key, min, mean, max)
+        })
+        .collect()
+}
+
+fn records_of(entry: &CorpusEntry, outcome: &EntryOutcome) -> Vec<Record> {
     outcome
         .records
         .iter()
         .map(|r| {
             let upper = entry.certificate.upper.max(1);
-            ConfEntry {
-                name: format!("conformance/{}/{}", entry.id, r.solver),
-                n: entry.graph.n(),
-                m: entry.graph.m(),
-                k: entry.instance.k(),
-                t: entry.instance.t(),
-                weight: r.weight,
-                cert_lower_milli: (entry.certificate.lower * 1000.0).round() as u64,
-                cert_upper: entry.certificate.upper,
-                ratio_milli: (1000 * r.weight).div_ceil(upper),
-                bound_milli: r.bound_milli,
-            }
+            Record::new(format!("conformance/{}/{}", entry.id, r.solver))
+                .det("n", entry.graph.n() as u64)
+                .det("m", entry.graph.m() as u64)
+                .det("k", entry.instance.k() as u64)
+                .det("t", entry.instance.t() as u64)
+                .det("weight", r.weight)
+                .det(
+                    "cert_lower_milli",
+                    (entry.certificate.lower * 1000.0).round() as u64,
+                )
+                .det("cert_upper", entry.certificate.upper)
+                .det("ratio_milli", (1000 * r.weight).div_ceil(upper))
+                .det("bound_milli", r.bound_milli)
         })
         .collect()
 }
 
-/// Sweeps the corpus tier and assembles the report.
-pub fn collect(quick: bool) -> ConformanceReport {
+/// Sweeps the corpus tier: the report plus the oracle's violations
+/// (empty = gate passes).
+pub fn collect(quick: bool) -> (Report, Vec<String>) {
     let tier = if quick { Tier::Quick } else { Tier::Full };
-    let mut entries = Vec::new();
+    let mut records = Vec::new();
     let mut violations = Vec::new();
     for entry in corpus(tier) {
         let outcome = check_entry(&entry);
-        entries.extend(records_of(&entry, &outcome));
+        records.extend(records_of(&entry, &outcome));
         violations.extend(
             outcome
                 .violations
@@ -210,7 +188,7 @@ pub fn collect(quick: bool) -> ConformanceReport {
     // The beat-the-det gate (in-harness, not just report-only): the
     // improved greedy must match or beat det's mean ratio on at least
     // half of the graph families.
-    let (beaten, compared) = families_beating_det(&entries);
+    let (beaten, compared) = families_beating_det(&records);
     if 2 * beaten < compared {
         violations.push(format!(
             "[greedy+local_search] beats det's mean ratio on only {beaten} of \
@@ -218,138 +196,54 @@ pub fn collect(quick: bool) -> ConformanceReport {
             compared.div_ceil(2)
         ));
     }
-    ConformanceReport {
-        mode: if quick { "quick" } else { "full" }.to_string(),
-        violations,
-        solvers: solver_summaries(&entries),
-        entries,
-    }
-}
-
-impl ConformanceReport {
-    /// Serializes to the `dsf-bench-conformance/v1` JSON layout.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"violations\": {},\n", self.violations.len()));
-        s.push_str("  \"solvers\": [\n");
-        for (i, sv) in self.solvers.iter().enumerate() {
-            let comma = if i + 1 < self.solvers.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"solver\": \"{}\", \"entries\": {}, \"families\": {}, \
-                 \"mean_ratio_milli\": {}, \"max_ratio_milli\": {}, \
-                 \"max_bound_milli\": {}}}{comma}\n",
-                sv.solver,
-                sv.entries,
-                sv.families,
-                sv.mean_ratio_milli,
-                sv.max_ratio_milli,
-                sv.max_bound_milli,
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let comma = if i + 1 < self.entries.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"n\": {}, \"m\": {}, \"k\": {}, \"t\": {}, \
-                 \"weight\": {}, \"cert_lower_milli\": {}, \"cert_upper\": {}, \
-                 \"ratio_milli\": {}, \"bound_milli\": {}}}{comma}\n",
-                e.name,
-                e.n,
-                e.m,
-                e.k,
-                e.t,
-                e.weight,
-                e.cert_lower_milli,
-                e.cert_upper,
-                e.ratio_milli,
-                e.bound_milli,
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Per-`family/solver` ratio distribution (min/mean/max of
-    /// `ratio_milli`), in first-appearance order — the human-readable
-    /// summary `bench_runner` prints.
-    pub fn family_summary(&self) -> Vec<(String, u64, u64, u64)> {
-        let mut order: Vec<String> = Vec::new();
-        let mut buckets: std::collections::HashMap<String, Vec<u64>> =
-            std::collections::HashMap::new();
-        for e in &self.entries {
-            // name = conformance/<family>/<pattern>/seed=<s>/<solver>
-            let parts: Vec<&str> = e.name.split('/').collect();
-            let (family, solver) = (parts[1], parts[parts.len() - 1]);
-            let key = format!("{family}/{solver}");
-            if !buckets.contains_key(&key) {
-                order.push(key.clone());
-            }
-            buckets.entry(key).or_default().push(e.ratio_milli);
-        }
-        order
-            .into_iter()
-            .map(|key| {
-                let rs = &buckets[&key];
-                let min = *rs.iter().min().expect("nonempty bucket");
-                let max = *rs.iter().max().expect("nonempty bucket");
-                let mean = rs.iter().sum::<u64>() / rs.len() as u64;
-                (key, min, mean, max)
-            })
-            .collect()
-    }
+    (Report::new("conformance", quick, records), violations)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(name: &str, ratio_milli: u64) -> ConfEntry {
-        ConfEntry {
-            name: name.into(),
-            n: 20,
-            m: 50,
-            k: 3,
-            t: 6,
-            weight: 30,
-            cert_lower_milli: 28000,
-            cert_upper: 28,
-            ratio_milli,
-            bound_milli: 2000,
-        }
+    fn entry(name: &str, ratio_milli: u64) -> Record {
+        Record::new(name)
+            .det("weight", 30)
+            .det("ratio_milli", ratio_milli)
+            .det("bound_milli", 2000)
     }
 
-    fn sample() -> ConformanceReport {
-        let entries = vec![
+    fn sample() -> Vec<Record> {
+        vec![
             entry("conformance/gnp/long_range/seed=0/det", 1072),
             entry("conformance/gnp/long_range/seed=0/moat", 1000),
-        ];
-        ConformanceReport {
-            mode: "quick".into(),
-            violations: Vec::new(),
-            solvers: solver_summaries(&entries),
-            entries,
-        }
+        ]
     }
 
     #[test]
-    fn json_has_schema_solver_block_and_one_entry_per_line() {
-        let json = sample().to_json();
-        assert!(json.contains("\"schema\": \"dsf-bench-conformance/v2\""));
-        assert!(json.contains("\"violations\": 0"));
-        assert!(json.contains("\"bound_milli\": 2000"));
-        let entry_lines = json.lines().filter(|l| l.contains("\"name\"")).count();
-        assert_eq!(entry_lines, 2);
-        let solver_lines = json.lines().filter(|l| l.contains("\"solver\"")).count();
-        assert_eq!(solver_lines, 2);
+    fn json_has_schema_and_one_entry_per_line() {
+        // The records of one real corpus entry: every value is det, and
+        // each achieved ratio sits within its certified ceiling.
+        let entry = dsf_workloads::corpus::stream(Tier::Quick)
+            .next()
+            .expect("corpus is nonempty");
+        let records = records_of(&entry, &check_entry(&entry));
+        let solvers = records.len();
+        assert!(solvers >= 2);
+        for r in &records {
+            assert!(det(r, "ratio_milli") <= det(r, "bound_milli"), "{}", r.name);
+            assert_eq!(r.det.iter().count(), 9, "{}", r.name);
+            assert!(r.wall.iter().next().is_none() && r.obs.iter().next().is_none());
+        }
+        let json = Report::new("conformance", true, records).to_json();
+        assert!(json.contains("\"schema\": \"dsf-bench/v5\""));
+        assert!(json.contains("\"tier\": \"conformance\""));
+        assert_eq!(
+            json.lines().filter(|l| l.contains("\"name\"")).count(),
+            solvers
+        );
     }
 
     #[test]
     fn family_summary_aggregates_per_solver() {
-        let s = sample().family_summary();
+        let s = family_summary(&sample());
         assert_eq!(s.len(), 2);
         assert_eq!(s[0], ("gnp/det".into(), 1072, 1072, 1072));
         assert_eq!(s[1], ("gnp/moat".into(), 1000, 1000, 1000));

@@ -5,31 +5,33 @@
 //! `cargo run -p dsf-bench --bin paper_tables --release` regenerates every
 //! table; `--quick` shrinks sizes and seed counts for smoke runs. The
 //! criterion benches in `benches/` wrap the same workloads for wall-clock
-//! measurements. `bench_runner` emits the JSON trajectories CI gates on:
-//! [`perf`] (`dsf-bench-executor/v3`, executor and solver metrics),
-//! [`conformance`] (`dsf-bench-conformance/v1`, per-family ratio
-//! distribution), [`service`] (`dsf-bench-service/v1`, batched-service
-//! throughput), [`server`] (`dsf-bench-server/v1`, streaming-server
-//! latency under open-loop load), and [`churn`] (`dsf-bench-churn/v1`,
-//! delta-repair speedup over from-scratch solves on churn traces).
+//! measurements. `bench_runner` emits the JSON trajectories CI gates on,
+//! every tier in the one [`record`] envelope (`dsf-bench/v5`): [`perf`]
+//! (executor and solver metrics, plus the `--scale` / `--scale-xl`
+//! sharding tiers), [`conformance`] (per-family ratio distribution),
+//! [`service`] (batched-service throughput), [`server`] (streaming-server
+//! latency under open-loop load), and [`churn`] (delta-repair speedup
+//! over from-scratch solves on churn traces).
 //!
 //! # Invariants
 //!
-//! Every schema separates **deterministic** fields (rounds, messages,
-//! activations, ratios — identical on every machine and worker-thread
-//! count; CI fails on drift) from **report-only** fields (wall-clock,
-//! threads, speedups, throughput — tracked as artifact trajectories, never
-//! gated). Readers are strict: a corrupt baseline fails to parse instead
-//! of silently passing a gate.
+//! Every record separates **deterministic** values (`det`: rounds,
+//! messages, activations, ratios — identical on every machine and
+//! worker-thread count; CI fails on drift) from **report-only** ones
+//! (`wall`: wall-clock, speedups, throughput; `obs`: threads, stealing
+//! effort, memory — tracked as artifact trajectories, never gated). The
+//! reader is strict: a corrupt baseline fails to parse instead of
+//! silently passing a gate.
 //!
 //! # Example
 //!
 //! ```
-//! use dsf_bench::perf::BenchReport;
+//! use dsf_bench::record::{Record, Report};
 //!
-//! let report = BenchReport { mode: "quick".into(), entries: Vec::new() };
-//! // The emitted JSON round-trips through the strict line-oriented reader.
-//! let parsed = BenchReport::parse(&report.to_json()).unwrap();
+//! let record = Record::new("solver/x").det("rounds", 47).wall("mean_ns", 9);
+//! let report = Report::new("executor", true, vec![record]);
+//! // The emitted JSON round-trips through the strict reader.
+//! let parsed = Report::parse(&report.to_json()).unwrap();
 //! assert_eq!(parsed, report);
 //! ```
 
@@ -40,6 +42,7 @@ pub mod churn;
 pub mod conformance;
 pub mod experiments;
 pub mod perf;
+pub mod record;
 pub mod server;
 pub mod service;
 

@@ -1,45 +1,21 @@
 //! The executor perf harness behind `bench_runner`: deterministic
 //! micro-benchmarks of the execution engines plus end-to-end solver
-//! timings, emitted as machine-readable JSON (`BENCH_executor.json`).
+//! timings, emitted as [`crate::record`] reports (tier `executor`, and
+//! `scale` / `scale-xl` for the sharded tiers).
 //!
-//! Every entry carries two kinds of numbers:
+//! Every record carries:
 //!
-//! * **deterministic work metrics** — `n`, `m`, `rounds`, `messages`, and
-//!   `activations` (executor `round()` invocations) are identical on every
+//! * `det` — `n`, `m`, `rounds`, `messages`, and `activations` (executor
+//!   `round()` invocations; 0 for solver records), identical on every
 //!   machine, every run, and every worker-thread count; CI gates on them
 //!   (`bench_runner --check`);
-//! * **wall-clock and configuration** — `wall_ns` (min/mean/max
-//!   nanoseconds over the repetitions), `threads` (worker threads the
-//!   entry ran with), `speedup_milli` (1000 × the min-wall speedup of
-//!   a sharded entry over its single-threaded twin; scale tiers only),
-//!   and `mem_peak_bytes` (the workload's allocation high-water mark via
-//!   [`crate::alloc_meter`]; `--scale-xl` tier only) are
-//!   machine-dependent, report-only, tracked as a trajectory via the CI
-//!   artifact.
-//!
-//! # JSON schema (`dsf-bench-executor/v4`)
-//!
-//! ```json
-//! {
-//!   "schema": "dsf-bench-executor/v4",
-//!   "mode": "quick",
-//!   "entries": [
-//!     {"name": "executor/bfs_wave/path/n=10000/event", "n": 10000,
-//!      "m": 9999, "threads": 1, "rounds": 10000, "messages": 19998,
-//!      "activations": 19998, "wall_ns": {"min": 1, "mean": 2, "max": 3}}
-//!   ]
-//! }
-//! ```
-//!
-//! (v2 added `threads` everywhere and `speedup_milli` on sharded scale
-//! entries; v3 added the optional `mem_peak_bytes` on `--scale-xl`
-//! entries; v4 added the optional report-only `steals` and
-//! `utilization_milli` work-stealing counters on sharded scale entries.
-//! The reader accepts v3 baselines — v4 only *adds* optional fields.)
-//! One entry per line; names use only `[a-z0-9_/=.-]`, so no
-//! JSON string escaping is ever needed — and the reader *rejects* any
-//! escape it meets, along with malformed numbers, so a corrupt baseline
-//! can never silently pass the `--check` gate.
+//! * `wall` — `min_ns`/`mean_ns`/`max_ns` over the repetitions, plus
+//!   `speedup_milli` (1000 × the min-wall speedup of a sharded record
+//!   over its single-threaded twin; scale tiers only);
+//! * `obs` — `threads` (worker threads the record ran with), and on
+//!   sharded scale records `steals` / `utilization_milli`, on `--scale-xl`
+//!   records `mem_peak_bytes` (the workload's allocation high-water mark
+//!   via [`crate::alloc_meter`]).
 
 use std::time::Instant;
 
@@ -53,294 +29,7 @@ use dsf_core::randomized::{solve_randomized, RandConfig};
 use dsf_graph::{generators, NodeId, WeightedGraph};
 use dsf_steiner::random_instance;
 
-/// Identifier of the emitted JSON layout.
-pub const SCHEMA: &str = "dsf-bench-executor/v4";
-
-/// The previous layout, still accepted on parse: v4 is a strict superset
-/// (two new *optional* entry fields), so checked-in v3 baselines keep
-/// gating without regeneration.
-const SCHEMA_V3: &str = "dsf-bench-executor/v3";
-
-/// Wall-clock statistics over the repetitions of one workload, in
-/// nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WallNs {
-    /// Fastest repetition.
-    pub min: u64,
-    /// Mean over repetitions.
-    pub mean: u64,
-    /// Slowest repetition.
-    pub max: u64,
-}
-
-/// One benchmark result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchEntry {
-    /// Workload id, e.g. `executor/bfs_wave/path/n=10000/event`.
-    pub name: String,
-    /// Nodes of the workload graph.
-    pub n: usize,
-    /// Edges of the workload graph.
-    pub m: usize,
-    /// Worker threads the entry ran with (configuration, report-only —
-    /// deterministic metrics never depend on it).
-    pub threads: usize,
-    /// Simulated rounds (deterministic).
-    pub rounds: u64,
-    /// Delivered messages (deterministic).
-    pub messages: u64,
-    /// `Protocol::round` invocations (deterministic; 0 where not tracked).
-    pub activations: u64,
-    /// Wall-clock statistics (machine-dependent, report-only).
-    pub wall_ns: WallNs,
-    /// Min-wall speedup over the single-threaded twin entry, ×1000
-    /// (scale-tier sharded entries only; machine-dependent, report-only).
-    pub speedup_milli: Option<u64>,
-    /// Allocation high-water mark of the workload — graph, arenas, and
-    /// run — in bytes ([`crate::alloc_meter`]; `--scale-xl` entries only;
-    /// machine-dependent, report-only).
-    pub mem_peak_bytes: Option<u64>,
-    /// Chunks claimed outside their home worker's range that held work,
-    /// summed over all workers of one run (sharded scale entries only;
-    /// scheduling-dependent, report-only).
-    pub steals: Option<u64>,
-    /// Worker-rounds that processed at least one chunk over all
-    /// worker-rounds, ×1000 (sharded scale entries only;
-    /// scheduling-dependent, report-only).
-    pub utilization_milli: Option<u64>,
-}
-
-/// A full `bench_runner` report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchReport {
-    /// `"quick"` or `"full"`.
-    pub mode: String,
-    /// All entries, in a deterministic order.
-    pub entries: Vec<BenchEntry>,
-}
-
-impl BenchReport {
-    /// Serializes to the `dsf-bench-executor/v4` JSON layout.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let comma = if i + 1 < self.entries.len() { "," } else { "" };
-            let speedup = e
-                .speedup_milli
-                .map(|v| format!(", \"speedup_milli\": {v}"))
-                .unwrap_or_default();
-            let mem = e
-                .mem_peak_bytes
-                .map(|v| format!(", \"mem_peak_bytes\": {v}"))
-                .unwrap_or_default();
-            let steals = e
-                .steals
-                .map(|v| format!(", \"steals\": {v}"))
-                .unwrap_or_default();
-            let util = e
-                .utilization_milli
-                .map(|v| format!(", \"utilization_milli\": {v}"))
-                .unwrap_or_default();
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"n\": {}, \"m\": {}, \"threads\": {}, \
-                 \"rounds\": {}, \"messages\": {}, \"activations\": {}, \"wall_ns\": \
-                 {{\"min\": {}, \"mean\": {}, \"max\": {}}}{speedup}{mem}{steals}{util}}}{comma}\n",
-                e.name,
-                e.n,
-                e.m,
-                e.threads,
-                e.rounds,
-                e.messages,
-                e.activations,
-                e.wall_ns.min,
-                e.wall_ns.mean,
-                e.wall_ns.max,
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Parses the line-oriented subset of JSON that [`BenchReport::to_json`]
-    /// emits (one entry object per line).
-    ///
-    /// The reader is deliberately strict: malformed numbers (`12x3`),
-    /// escaped or unterminated strings, and missing fields are hard
-    /// errors, never best-effort values — `--check` must not be able to
-    /// pass against a corrupt baseline.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line or missing field.
-    pub fn parse(json: &str) -> Result<BenchReport, String> {
-        let mut mode = None;
-        let mut entries = Vec::new();
-        for line in json.lines() {
-            if line.contains("\"schema\"") {
-                let schema = str_field(line, "schema")?;
-                if schema != SCHEMA && schema != SCHEMA_V3 {
-                    return Err(format!(
-                        "schema {schema:?}, expected {SCHEMA:?} (or {SCHEMA_V3:?})"
-                    ));
-                }
-            } else if line.contains("\"mode\"") {
-                mode = Some(str_field(line, "mode")?);
-            } else if line.contains("\"name\"") {
-                let name = str_field(line, "name")?;
-                let get = |k: &str| u64_field(line, k).map_err(|e| format!("entry {name}: {e}"));
-                let speedup_milli = if line.contains("\"speedup_milli\"") {
-                    Some(get("speedup_milli")?)
-                } else {
-                    None
-                };
-                let mem_peak_bytes = if line.contains("\"mem_peak_bytes\"") {
-                    Some(get("mem_peak_bytes")?)
-                } else {
-                    None
-                };
-                let steals = if line.contains("\"steals\"") {
-                    Some(get("steals")?)
-                } else {
-                    None
-                };
-                let utilization_milli = if line.contains("\"utilization_milli\"") {
-                    Some(get("utilization_milli")?)
-                } else {
-                    None
-                };
-                entries.push(BenchEntry {
-                    name: name.clone(),
-                    n: get("n")? as usize,
-                    m: get("m")? as usize,
-                    threads: get("threads")? as usize,
-                    rounds: get("rounds")?,
-                    messages: get("messages")?,
-                    activations: get("activations")?,
-                    wall_ns: WallNs {
-                        min: get("min")?,
-                        mean: get("mean")?,
-                        max: get("max")?,
-                    },
-                    speedup_milli,
-                    mem_peak_bytes,
-                    steals,
-                    utilization_milli,
-                });
-            }
-        }
-        Ok(BenchReport {
-            mode: mode.ok_or_else(|| "missing mode".to_string())?,
-            entries,
-        })
-    }
-
-    /// Compares the deterministic metrics against a checked-in baseline.
-    ///
-    /// Returns one human-readable drift description per mismatch (empty =
-    /// gate passes). Wall-clock, `threads`, `speedup_milli`,
-    /// `mem_peak_bytes`, `steals`, and `utilization_milli` are
-    /// intentionally ignored: they are machine/configuration/scheduling
-    /// facts, and the same gate must pass under any `DSF_THREADS` (that
-    /// invariance is itself CI-enforced by running the gate at two thread
-    /// counts).
-    pub fn diff_deterministic(&self, baseline: &BenchReport) -> Vec<String> {
-        let mut drifts = Vec::new();
-        if self.mode != baseline.mode {
-            drifts.push(format!(
-                "mode {:?} does not match baseline mode {:?}",
-                self.mode, baseline.mode
-            ));
-            return drifts;
-        }
-        for b in &baseline.entries {
-            match self.entries.iter().find(|e| e.name == b.name) {
-                None => drifts.push(format!("{}: entry disappeared", b.name)),
-                Some(e) => {
-                    for (what, now, was) in [
-                        ("n", e.n as u64, b.n as u64),
-                        ("m", e.m as u64, b.m as u64),
-                        ("rounds", e.rounds, b.rounds),
-                        ("messages", e.messages, b.messages),
-                        ("activations", e.activations, b.activations),
-                    ] {
-                        if now != was {
-                            drifts.push(format!("{}: {what} drifted {was} -> {now}", e.name));
-                        }
-                    }
-                }
-            }
-        }
-        for e in &self.entries {
-            if !baseline.entries.iter().any(|b| b.name == e.name) {
-                drifts.push(format!(
-                    "{}: new entry not in baseline (re-generate it)",
-                    e.name
-                ));
-            }
-        }
-        drifts
-    }
-}
-
-/// Extracts the string value of `"key": "…"` from one line.
-///
-/// # Errors
-///
-/// Rejects missing keys, unterminated strings, and any backslash in the
-/// value: this reader's schema never needs JSON escapes, and treating an
-/// escaped quote as a terminator would silently truncate the value.
-fn str_field(line: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\": \"");
-    let i = line
-        .find(&pat)
-        .ok_or_else(|| format!("missing string field {key:?}"))?
-        + pat.len();
-    let rest = &line[i..];
-    let end = rest
-        .find('"')
-        .ok_or_else(|| format!("field {key:?}: unterminated string"))?;
-    let val = &rest[..end];
-    if val.contains('\\') {
-        return Err(format!(
-            "field {key:?}: escaped strings are not supported by this reader"
-        ));
-    }
-    Ok(val.to_string())
-}
-
-/// Extracts the unsigned integer value of `"key": …` from one line.
-///
-/// # Errors
-///
-/// Rejects missing keys, empty digit runs, and digit runs not terminated
-/// by a structural character (`,`, `}`, or end of line) — `12x3` is a
-/// parse error, not 12.
-fn u64_field(line: &str, key: &str) -> Result<u64, String> {
-    let pat = format!("\"{key}\": ");
-    let i = line
-        .find(&pat)
-        .ok_or_else(|| format!("missing field {key:?}"))?
-        + pat.len();
-    let digits: &str = &line[i..i + line[i..]
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(line.len() - i)];
-    if digits.is_empty() {
-        return Err(format!("field {key:?}: expected a number"));
-    }
-    match line[i + digits.len()..].chars().next() {
-        None | Some(',') | Some('}') => {}
-        Some(c) => {
-            return Err(format!(
-                "field {key:?}: malformed number ({c:?} after {digits:?})"
-            ))
-        }
-    }
-    digits.parse().map_err(|e| format!("field {key:?}: {e}"))
-}
+use crate::record::{Record, Report};
 
 /// The raw-executor micro-workload: a BFS wave from node 0 — the sparse
 /// single-source primitive underlying moat growth, where at any round only
@@ -395,7 +84,28 @@ impl Protocol for WaveNode {
 struct Timed {
     metrics: RunMetrics,
     stats: SchedStats,
-    wall_ns: WallNs,
+    /// Fastest, mean and slowest repetition, in nanoseconds.
+    min_ns: u64,
+    mean_ns: u64,
+    max_ns: u64,
+}
+
+impl Timed {
+    /// The record of this run on `g` with `threads` workers: work
+    /// metrics in `det`, the repetition timings in `wall`, the thread
+    /// count in `obs`.
+    fn record(&self, name: String, g: &WeightedGraph, threads: usize) -> Record {
+        Record::new(name)
+            .det("n", g.n() as u64)
+            .det("m", g.m() as u64)
+            .det("rounds", self.metrics.rounds)
+            .det("messages", self.metrics.messages)
+            .det("activations", self.stats.activations)
+            .wall("min_ns", self.min_ns)
+            .wall("mean_ns", self.mean_ns)
+            .wall("max_ns", self.max_ns)
+            .obs("threads", threads as u64)
+    }
 }
 
 /// Runs `f` `reps` times, asserting the deterministic outcome never
@@ -419,13 +129,12 @@ fn time_reps(
         }
     }
     let (metrics, stats) = first.expect("at least one repetition");
-    let min = *wall.iter().min().expect("reps > 0");
-    let max = *wall.iter().max().expect("reps > 0");
-    let mean = wall.iter().sum::<u64>() / wall.len() as u64;
     Timed {
         metrics,
         stats,
-        wall_ns: WallNs { min, mean, max },
+        min_ns: *wall.iter().min().expect("reps > 0"),
+        mean_ns: wall.iter().sum::<u64>() / wall.len() as u64,
+        max_ns: *wall.iter().max().expect("reps > 0"),
     }
 }
 
@@ -434,8 +143,8 @@ fn wave_nodes(g: &WeightedGraph) -> Vec<WaveNode> {
 }
 
 /// One executor micro-benchmark: the same wave workload through both
-/// engines, as two entries (`.../event` and `.../reference`).
-fn executor_pair(name: &str, g: &WeightedGraph, reps: usize, entries: &mut Vec<BenchEntry>) {
+/// engines, as two records (`.../event` and `.../reference`).
+fn executor_pair(name: &str, g: &WeightedGraph, reps: usize, records: &mut Vec<Record>) {
     let cfg = CongestConfig::for_graph(g);
     let mut buffers = RunBuffers::for_graph(g);
     let event = time_reps(reps, || {
@@ -449,29 +158,17 @@ fn executor_pair(name: &str, g: &WeightedGraph, reps: usize, entries: &mut Vec<B
         "{name}: executors disagree"
     );
     for (suffix, t) in [("event", event), ("reference", reference)] {
-        entries.push(BenchEntry {
-            name: format!("{name}/{suffix}"),
-            n: g.n(),
-            m: g.m(),
-            threads: 1,
-            rounds: t.metrics.rounds,
-            messages: t.metrics.messages,
-            activations: t.stats.activations,
-            wall_ns: t.wall_ns,
-            speedup_milli: None,
-            mem_peak_bytes: None,
-            steals: None,
-            utilization_milli: None,
-        });
+        records.push(t.record(format!("{name}/{suffix}"), g, 1));
     }
 }
 
-/// One end-to-end solver timing; rounds/messages come from the ledger.
-fn solver_entry(
+/// One end-to-end solver timing; rounds/messages come from the ledger
+/// (`activations` is not tracked for solvers and records as 0).
+fn solver_record(
     name: &str,
     g: &WeightedGraph,
     reps: usize,
-    entries: &mut Vec<BenchEntry>,
+    records: &mut Vec<Record>,
     mut f: impl FnMut() -> Result<RoundLedger, SimError>,
 ) {
     let timed = time_reps(reps, || {
@@ -487,23 +184,10 @@ fn solver_entry(
             )
         })
     });
-    entries.push(BenchEntry {
-        name: name.to_string(),
-        n: g.n(),
-        m: g.m(),
-        // Solvers run through `dsf_congest::run`, which dispatches on the
-        // configured thread count — record it so the artifact documents
-        // the configuration behind the wall-clock numbers.
-        threads: dsf_congest::default_threads(),
-        rounds: timed.metrics.rounds,
-        messages: timed.metrics.messages,
-        activations: 0,
-        wall_ns: timed.wall_ns,
-        speedup_milli: None,
-        mem_peak_bytes: None,
-        steals: None,
-        utilization_milli: None,
-    });
+    // Solvers run through `dsf_congest::run`, which dispatches on the
+    // configured thread count — record it so the artifact documents the
+    // configuration behind the wall-clock numbers.
+    records.push(timed.record(name.to_string(), g, dsf_congest::default_threads()));
 }
 
 /// Runs every workload and assembles the report.
@@ -511,9 +195,9 @@ fn solver_entry(
 /// `quick` shrinks sizes and repetition counts for the CI smoke gate; the
 /// checked-in baseline (`crates/bench/baselines/executor_quick.json`) is a
 /// quick-mode report.
-pub fn collect(quick: bool) -> BenchReport {
+pub fn collect(quick: bool) -> Report {
     let reps = if quick { 3 } else { 7 };
-    let mut entries = Vec::new();
+    let mut records = Vec::new();
 
     // Raw executor micro-benchmarks: one sparse wave per graph family.
     // The 10k path is the headline workload: the reference engine performs
@@ -525,7 +209,7 @@ pub fn collect(quick: bool) -> BenchReport {
         &format!("executor/bfs_wave/path/n={path_n}"),
         &g,
         reps,
-        &mut entries,
+        &mut records,
     );
 
     let side = if quick { 100 } else { 160 };
@@ -534,7 +218,7 @@ pub fn collect(quick: bool) -> BenchReport {
         &format!("executor/bfs_wave/grid/n={}", side * side),
         &g,
         reps,
-        &mut entries,
+        &mut records,
     );
 
     let (gn, gp) = if quick {
@@ -547,7 +231,7 @@ pub fn collect(quick: bool) -> BenchReport {
         &format!("executor/bfs_wave/gnp/n={gn}"),
         &g,
         reps,
-        &mut entries,
+        &mut records,
     );
 
     // End-to-end solver timings (all protocol stages run through the
@@ -555,18 +239,18 @@ pub fn collect(quick: bool) -> BenchReport {
     let (sn, sp) = if quick { (48, 0.12) } else { (96, 0.08) };
     let g = generators::gnp_connected(sn, sp, 9, 7);
     let inst = random_instance(&g, 3, 2, 11);
-    solver_entry(
+    solver_record(
         &format!("solver/deterministic/gnp/n={sn}"),
         &g,
         reps,
-        &mut entries,
+        &mut records,
         || solve_deterministic(&g, &inst, &DetConfig::default()).map(|o| o.rounds),
     );
-    solver_entry(
+    solver_record(
         &format!("solver/randomized/gnp/n={sn}"),
         &g,
         reps,
-        &mut entries,
+        &mut records,
         || {
             let cfg = RandConfig {
                 seed: 5,
@@ -576,18 +260,15 @@ pub fn collect(quick: bool) -> BenchReport {
             solve_randomized(&g, &inst, &cfg).map(|o| o.rounds)
         },
     );
-    solver_entry(
+    solver_record(
         &format!("solver/collect_at_root/gnp/n={sn}"),
         &g,
         reps,
-        &mut entries,
+        &mut records,
         || solve_collect_at_root(&g, &inst).map(|o| o.rounds),
     );
 
-    BenchReport {
-        mode: if quick { "quick" } else { "full" }.to_string(),
-        entries,
-    }
+    Report::new("executor", quick, records)
 }
 
 fn splitmix(x: u64) -> u64 {
@@ -670,23 +351,49 @@ pub fn gossip_nodes(g: &WeightedGraph, rounds: u32) -> Vec<GossipNode> {
 
 /// Report-only work-stealing effort summary of one sharded run: total
 /// chunks stolen and the worker utilization (worker-rounds that processed
-/// at least one chunk over all worker-rounds), ×1000. `(None, None)` when
-/// the run carried no per-worker observability (single-threaded engines).
-fn worker_obs(stats: &SchedStats) -> (Option<u64>, Option<u64>) {
+/// at least one chunk over all worker-rounds), ×1000. `None` when the
+/// run carried no per-worker observability (single-threaded engines).
+fn worker_obs(stats: &SchedStats) -> Option<(u64, u64)> {
     if stats.workers.is_empty() {
-        return (None, None);
+        return None;
     }
     let stolen: u64 = stats.workers.iter().map(|w| w.chunks_stolen).sum();
     let busy: u64 = stats.workers.iter().map(|w| w.rounds_participated).sum();
     let idle: u64 = stats.workers.iter().map(|w| w.idle_waits).sum();
-    (Some(stolen), Some(busy * 1000 / (busy + idle).max(1)))
+    Some((stolen, busy * 1000 / (busy + idle).max(1)))
+}
+
+/// A scale-tier record of `timed` at `t` threads: [`Timed::record`]
+/// plus, for a sharded run, its min-wall speedup over the
+/// single-threaded twin (`wall`) and its work-stealing effort counters
+/// (`obs`).
+fn scale_record(
+    name: String,
+    g: &WeightedGraph,
+    t: usize,
+    timed: &Timed,
+    single: &Timed,
+) -> Record {
+    let mut r = timed.record(name, g, t);
+    if t > 1 {
+        r = r.wall(
+            "speedup_milli",
+            single.min_ns.saturating_mul(1000) / timed.min_ns.max(1),
+        );
+    }
+    if let Some((steals, utilization_milli)) = worker_obs(&timed.stats) {
+        r = r
+            .obs("steals", steals)
+            .obs("utilization_milli", utilization_milli);
+    }
+    r
 }
 
 /// One scale workload: the same gossip run through the single-threaded
 /// event engine (`t=1`) and the work-stealing engine at the remaining
 /// thread counts. Deterministic metrics are asserted identical across all
 /// engines; `speedup_milli` records min-wall `t=1` over min-wall `t=k`,
-/// and sharded entries carry the report-only `steals` /
+/// and sharded records carry the report-only `steals` /
 /// `utilization_milli` effort counters from [`dsf_congest::SchedStats`]'s
 /// per-worker observability.
 fn scale_family(
@@ -695,7 +402,7 @@ fn scale_family(
     rounds: u32,
     threads: &[usize],
     reps: usize,
-    entries: &mut Vec<BenchEntry>,
+    records: &mut Vec<Record>,
 ) {
     let cfg = CongestConfig::for_graph(g);
     let mut buffers = RunBuffers::for_graph(g);
@@ -703,24 +410,7 @@ fn scale_family(
         run_with_buffers(g, gossip_nodes(g, rounds), &cfg, &mut buffers)
             .map(|r| (r.metrics, r.stats))
     });
-    let push = |entries: &mut Vec<BenchEntry>, t: usize, timed: &Timed, speedup: Option<u64>| {
-        let (steals, utilization_milli) = worker_obs(&timed.stats);
-        entries.push(BenchEntry {
-            name: format!("{name}/t={t}"),
-            n: g.n(),
-            m: g.m(),
-            threads: t,
-            rounds: timed.metrics.rounds,
-            messages: timed.metrics.messages,
-            activations: timed.stats.activations,
-            wall_ns: timed.wall_ns,
-            speedup_milli: speedup,
-            mem_peak_bytes: None,
-            steals,
-            utilization_milli,
-        });
-    };
-    push(entries, 1, &single, None);
+    records.push(scale_record(format!("{name}/t=1"), g, 1, &single, &single));
     for &t in threads.iter().filter(|&&t| t > 1) {
         let sharded = time_reps(reps, || {
             run_sharded(g, gossip_nodes(g, rounds), &cfg, t).map(|r| (r.metrics, r.stats))
@@ -733,22 +423,27 @@ fn scale_family(
             sharded.stats, single.stats,
             "{name}: sharded t={t} work counters diverge"
         );
-        let speedup = single.wall_ns.min.saturating_mul(1000) / sharded.wall_ns.min.max(1);
-        push(entries, t, &sharded, Some(speedup));
+        records.push(scale_record(
+            format!("{name}/t={t}"),
+            g,
+            t,
+            &sharded,
+            &single,
+        ));
     }
 }
 
 /// The `--scale` tier: dense gossip on large path/grid/clustered graphs
 /// (n up to ~100k) across worker-thread counts {1, 2, 4, 8}, measuring
 /// the sharded executor's wall-clock scaling. Deterministic metrics are
-/// asserted bit-identical across every thread count before an entry is
+/// asserted bit-identical across every thread count before a record is
 /// emitted, so the tier cannot "speed up" by drifting; there is no
 /// checked-in baseline (wall-clock is the product here), hence no
 /// `--check` in this mode.
-pub fn collect_scale(quick: bool) -> BenchReport {
+pub fn collect_scale(quick: bool) -> Report {
     let reps = if quick { 2 } else { 3 };
     let threads = [1usize, 2, 4, 8];
-    let mut entries = Vec::new();
+    let mut records = Vec::new();
 
     // Clusters are internally complete (m ≈ clusters · per_cluster²/2),
     // so keep per_cluster small: the family is here for its skewed degree
@@ -767,7 +462,7 @@ pub fn collect_scale(quick: bool) -> BenchReport {
         rounds,
         &threads,
         reps,
-        &mut entries,
+        &mut records,
     );
 
     let g = generators::grid(grid_side, grid_side, 4, 3);
@@ -777,7 +472,7 @@ pub fn collect_scale(quick: bool) -> BenchReport {
         rounds,
         &threads,
         reps,
-        &mut entries,
+        &mut records,
     );
 
     let g = generators::clustered_geometric(clusters, per_cluster, 11);
@@ -787,7 +482,7 @@ pub fn collect_scale(quick: bool) -> BenchReport {
         rounds,
         &threads,
         reps,
-        &mut entries,
+        &mut records,
     );
 
     // Skewed RMAT power-law instance: a few hub-heavy chunks concentrate
@@ -803,13 +498,10 @@ pub fn collect_scale(quick: bool) -> BenchReport {
         rmat_rounds,
         &threads,
         reps,
-        &mut entries,
+        &mut records,
     );
 
-    BenchReport {
-        mode: if quick { "scale-quick" } else { "scale" }.to_string(),
-        entries,
-    }
+    Report::new("scale", quick, records)
 }
 
 /// In-harness memory budget of the `--scale-xl` tier, in bytes per node,
@@ -843,7 +535,7 @@ fn scale_xl_family(
     edge_factor: usize,
     rounds: u32,
     reps: usize,
-    entries: &mut Vec<BenchEntry>,
+    records: &mut Vec<Record>,
 ) {
     crate::alloc_meter::reset_peak();
     let base = crate::alloc_meter::current_bytes() as u64;
@@ -878,23 +570,9 @@ fn scale_xl_family(
         peak.div_ceil(n as u64),
         XL_BYTES_PER_NODE_BUDGET,
     );
-    let speedup = single.wall_ns.min.saturating_mul(1000) / sharded.wall_ns.min.max(1);
-    for (t, timed, speedup) in [(1usize, &single, None), (4, &sharded, Some(speedup))] {
-        let (steals, utilization_milli) = worker_obs(&timed.stats);
-        entries.push(BenchEntry {
-            name: format!("executor/gossip/power_law/n={n}/t={t}"),
-            n,
-            m: g.m(),
-            threads: t,
-            rounds: timed.metrics.rounds,
-            messages: timed.metrics.messages,
-            activations: timed.stats.activations,
-            wall_ns: timed.wall_ns,
-            speedup_milli: speedup,
-            mem_peak_bytes: Some(peak),
-            steals,
-            utilization_milli,
-        });
+    for (t, timed) in [(1, &single), (4, &sharded)] {
+        let name = format!("executor/gossip/power_law/n={n}/t={t}");
+        records.push(scale_record(name, &g, t, timed, &single).obs("mem_peak_bytes", peak));
     }
 }
 
@@ -904,168 +582,95 @@ fn scale_xl_family(
 /// next to `speedup_milli` and enforcing [`XL_BYTES_PER_NODE_BUDGET`].
 /// Like `--scale` there is no checked-in baseline (wall-clock and bytes
 /// are the product), hence no `--check` in this mode.
-pub fn collect_scale_xl(quick: bool) -> BenchReport {
-    let mut entries = Vec::new();
+pub fn collect_scale_xl(quick: bool) -> Report {
+    let mut records = Vec::new();
     if quick {
         // CI smoke sizing: big enough that per-node costs dominate the
         // budget arithmetic, small enough for a PR gate.
-        scale_xl_family(1 << 17, 2, 3, 2, &mut entries);
+        scale_xl_family(1 << 17, 2, 3, 2, &mut records);
     } else {
-        scale_xl_family(10_000_000, 2, 2, 1, &mut entries);
+        scale_xl_family(10_000_000, 2, 2, 1, &mut records);
     }
-    BenchReport {
-        mode: if quick { "scale-xl-quick" } else { "scale-xl" }.to_string(),
-        entries,
-    }
+    Report::new("scale-xl", quick, records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> BenchReport {
-        BenchReport {
-            mode: "quick".into(),
-            entries: vec![
-                BenchEntry {
-                    name: "executor/x/event".into(),
-                    n: 10,
-                    m: 9,
-                    threads: 1,
-                    rounds: 11,
-                    messages: 18,
-                    activations: 20,
-                    wall_ns: WallNs {
-                        min: 1,
-                        mean: 2,
-                        max: 3,
-                    },
-                    speedup_milli: None,
-                    mem_peak_bytes: None,
-                    steals: None,
-                    utilization_milli: None,
-                },
-                BenchEntry {
-                    name: "solver/y".into(),
-                    n: 48,
-                    m: 100,
-                    threads: 4,
-                    rounds: 321,
-                    messages: 4567,
-                    activations: 0,
-                    wall_ns: WallNs {
-                        min: 9,
-                        mean: 9,
-                        max: 9,
-                    },
-                    speedup_milli: Some(2750),
-                    mem_peak_bytes: Some(123_456_789),
-                    steals: Some(17),
-                    utilization_milli: Some(850),
-                },
-            ],
-        }
-    }
+    /// The checked-in `--check` baseline.
+    const BASELINE: &str = include_str!("../baselines/executor_quick.json");
 
     #[test]
     fn json_roundtrips() {
-        let r = sample();
-        let parsed = BenchReport::parse(&r.to_json()).unwrap();
-        assert_eq!(parsed, r);
-    }
-
-    #[test]
-    fn v3_baselines_still_parse_and_gate() {
-        // The checked-in quick baseline predates the v4 fields; the
-        // reader must accept its schema line (v4 only adds optionals) and
-        // an unknown/future schema must still be rejected.
-        let mut r = sample();
-        for e in &mut r.entries {
-            e.steals = None;
-            e.utilization_milli = None;
-        }
-        let v3 = r.to_json().replacen(SCHEMA, SCHEMA_V3, 1);
-        let parsed = BenchReport::parse(&v3).unwrap();
-        assert_eq!(parsed, r);
-        assert!(sample().diff_deterministic(&parsed).is_empty());
-        let v9 = r.to_json().replacen(SCHEMA, "dsf-bench-executor/v9", 1);
-        assert!(BenchReport::parse(&v9).is_err());
-    }
-
-    #[test]
-    fn malformed_numbers_are_rejected_not_truncated() {
-        let good = sample().to_json();
-        // `"rounds": 11` -> `"rounds": 11x3`: the old reader parsed 11.
-        let bad = good.replacen("\"rounds\": 11,", "\"rounds\": 11x3,", 1);
-        let err = BenchReport::parse(&bad).unwrap_err();
-        assert!(err.contains("rounds"), "{err}");
-        assert!(err.contains("malformed"), "{err}");
-        // An empty digit run is just as dead.
-        let bad = good.replacen("\"messages\": 18,", "\"messages\": ,", 1);
-        let err = BenchReport::parse(&bad).unwrap_err();
-        assert!(err.contains("messages"), "{err}");
-    }
-
-    #[test]
-    fn escaped_and_unterminated_strings_are_rejected() {
-        let good = sample().to_json();
-        // An escaped quote inside a name: the old reader truncated the
-        // value at the backslash-quote and kept going.
-        let bad = good.replacen("executor/x/event", r#"executor\"x"#, 1);
-        let err = BenchReport::parse(&bad).unwrap_err();
-        assert!(err.contains("escaped"), "{err}");
-        // A mode line whose string never closes.
-        let bad = good.replacen("\"mode\": \"quick\",", "\"mode\": \"quick,", 1);
-        let err = BenchReport::parse(&bad).unwrap_err();
-        assert!(
-            err.contains("unterminated") || err.contains("mode"),
-            "{err}"
+        // The baseline is a verbatim `bench_runner --quick` artifact: it
+        // parses as an executor quick report and re-emits byte-for-byte.
+        let base = Report::parse(BASELINE).unwrap();
+        assert_eq!(
+            (base.tier.as_str(), base.mode.as_str()),
+            ("executor", "quick")
         );
+        assert_eq!(base.to_json(), BASELINE);
+        // Every record carries the executor layout: work metrics in det,
+        // repetition timings in wall, the thread count in obs.
+        for r in &base.records {
+            let keys = |f: &crate::record::Fields| {
+                f.iter().map(|(k, _)| k.to_string()).collect::<Vec<_>>()
+            };
+            assert_eq!(
+                keys(&r.det),
+                ["n", "m", "rounds", "messages", "activations"],
+                "{}",
+                r.name
+            );
+            assert_eq!(keys(&r.wall), ["min_ns", "mean_ns", "max_ns"], "{}", r.name);
+            assert_eq!(keys(&r.obs), ["threads"], "{}", r.name);
+        }
     }
 
     #[test]
     fn corrupt_baseline_cannot_pass_check() {
-        // End-to-end: a baseline with a mangled metric must fail to parse
-        // (the old reader read `11zzz` as 11, which *matched* the live
-        // report and let --check pass against garbage).
-        let corrupt = sample()
-            .to_json()
-            .replacen("\"rounds\": 11,", "\"rounds\": 11zzz,", 1);
-        assert!(BenchReport::parse(&corrupt).is_err());
+        let base = Report::parse(BASELINE).unwrap();
+        assert!(base.diff_det(&base).is_empty());
+        // A mangled metric fails to parse instead of reading as a value
+        // that happens to match the live run.
+        let corrupt = BASELINE.replacen("\"rounds\": 10000,", "\"rounds\": 10000zzz,", 1);
+        assert_ne!(corrupt, BASELINE);
+        assert!(Report::parse(&corrupt).is_err());
     }
 
     #[test]
     fn diff_flags_deterministic_drift_only() {
-        let base = sample();
-        let mut cur = sample();
-        assert!(cur.diff_deterministic(&base).is_empty());
-        // Wall-clock, memory, and scheduling-effort changes never gate.
-        cur.entries[0].wall_ns.mean = 999_999;
-        cur.entries[1].mem_peak_bytes = Some(1);
-        cur.entries[1].steals = Some(999);
-        cur.entries[1].utilization_milli = None;
-        assert!(cur.diff_deterministic(&base).is_empty());
-        // Metric drift does.
-        cur.entries[0].rounds += 1;
-        let drifts = cur.diff_deterministic(&base);
-        assert_eq!(drifts.len(), 1);
-        assert!(drifts[0].contains("rounds drifted 11 -> 12"));
-        // So do vanished and novel entries.
-        cur.entries.remove(1);
-        cur.entries.push(BenchEntry {
-            name: "solver/z".into(),
-            ..base.entries[1].clone()
-        });
-        let drifts = cur.diff_deterministic(&base);
-        assert!(drifts.iter().any(|d| d.contains("entry disappeared")));
-        assert!(drifts.iter().any(|d| d.contains("not in baseline")));
+        let base = Report::parse(BASELINE).unwrap();
+        let mut cur = base.clone();
+        // A run at another thread count, with other timings, memory and
+        // stealing effort, still passes the gate.
+        for r in &mut cur.records {
+            r.obs.set("threads", 8);
+            r.obs.set("steals", 3);
+            r.obs.set("mem_peak_bytes", 1);
+            r.wall.set("mean_ns", 999_999);
+            r.wall.set("speedup_milli", 2000);
+        }
+        assert!(cur.diff_det(&base).is_empty());
+        // Any executor work metric that moves fails it.
+        for (i, key) in ["n", "m", "rounds", "messages", "activations"]
+            .into_iter()
+            .enumerate()
+        {
+            let was = cur.records[i].det.get(key).unwrap();
+            cur.records[i].det.set(key, was + 1);
+        }
+        assert_eq!(cur.diff_det(&base).len(), 5);
     }
 
     #[test]
     fn mode_mismatch_is_a_drift() {
-        let base = sample();
-        let mut cur = sample();
-        cur.mode = "full".into();
-        assert_eq!(cur.diff_deterministic(&base).len(), 1);
+        let base = Report::parse(BASELINE).unwrap();
+        let full = Report {
+            mode: "full".into(),
+            ..base.clone()
+        };
+        assert_eq!(full.diff_det(&base).len(), 1);
     }
 }

@@ -29,27 +29,15 @@
 //! baseline (`--check` is rejected): wall-clock is the product, and the
 //! correctness gates are the in-harness asserts.
 //!
-//! # JSON schema (`dsf-bench-server/v1`)
+//! # Records (tier `server`)
 //!
-//! ```json
-//! {
-//!   "schema": "dsf-bench-server/v1",
-//!   "mode": "quick",
-//!   "entries": [
-//!     {"name": "server/open-loop/x1.0", "jobs": 24, "workers": 4,
-//!      "queue_capacity": 8, "rate_milli_x": 1000, "rounds": 4224,
-//!      "messages": 105984, "wall_ns": 1, "offered_per_sec_milli": 1,
-//!      "p50_ns": 1, "p99_ns": 1, "solves_per_sec_milli": 1}
-//!   ]
-//! }
-//! ```
-//!
-//! `jobs`, `workers`, `queue_capacity`, `rate_milli_x`, `rounds`, and
-//! `messages` are deterministic (blocking admission means every offered
-//! job completes, and per-job metrics are schedule-invariant);
-//! `wall_ns`, `offered_per_sec_milli`, `p50_ns`, `p99_ns`, and
-//! `solves_per_sec_milli` are machine-dependent, report-only. One entry
-//! object per line, same line-oriented convention as the other schemas.
+//! `det`: `jobs`, `workers`, `queue_capacity`, `rate_milli_x` (offered
+//! rate as a multiple of measured capacity, ×1000; 0 for the closed
+//! loop), `rounds`, and `messages` (blocking admission means every
+//! offered job completes, and per-job metrics are schedule-invariant).
+//! `wall`: `wall_ns` (first submit to last result),
+//! `offered_per_sec_milli`, `p50_ns`, `p99_ns`, and
+//! `solves_per_sec_milli`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -60,82 +48,7 @@ use dsf_server::{
 use dsf_service::{JobOutcome, SolveRequest, SolverKind, SolverSession};
 use dsf_workloads::corpus::{stream, Tier};
 
-/// Identifier of the emitted JSON layout.
-pub const SCHEMA: &str = "dsf-bench-server/v1";
-
-/// One server benchmark result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServerBenchEntry {
-    /// Workload id, e.g. `server/open-loop/x1.0`.
-    pub name: String,
-    /// Jobs offered — and, asserted in-harness, completed (deterministic).
-    pub jobs: usize,
-    /// Small-lane workers / sharded threads of a large job (deterministic).
-    pub workers: usize,
-    /// Admission-queue bound the tier ran with (deterministic).
-    pub queue_capacity: usize,
-    /// Offered rate as a multiple of measured capacity, ×1000; 0 for the
-    /// closed-loop capacity tier (deterministic).
-    pub rate_milli_x: u64,
-    /// Sum of per-job total rounds (deterministic).
-    pub rounds: u64,
-    /// Sum of per-job delivered messages (deterministic).
-    pub messages: u64,
-    /// Wall-clock from first submit to last result, ns (report-only).
-    pub wall_ns: u64,
-    /// Offered arrival rate, jobs/sec ×1000 (report-only — derived from
-    /// the measured capacity).
-    pub offered_per_sec_milli: u64,
-    /// Median submit→result sojourn latency, ns (report-only).
-    pub p50_ns: u64,
-    /// 99th-percentile sojourn latency, ns (report-only).
-    pub p99_ns: u64,
-    /// Completion throughput, jobs/sec ×1000 (report-only).
-    pub solves_per_sec_milli: u64,
-}
-
-/// A full `--server` report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServerBenchReport {
-    /// `"quick"` or `"full"`.
-    pub mode: String,
-    /// All entries, in a deterministic order.
-    pub entries: Vec<ServerBenchEntry>,
-}
-
-impl ServerBenchReport {
-    /// Serializes to the `dsf-bench-server/v1` JSON layout.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let comma = if i + 1 < self.entries.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"jobs\": {}, \"workers\": {}, \
-                 \"queue_capacity\": {}, \"rate_milli_x\": {}, \"rounds\": {}, \
-                 \"messages\": {}, \"wall_ns\": {}, \"offered_per_sec_milli\": {}, \
-                 \"p50_ns\": {}, \"p99_ns\": {}, \"solves_per_sec_milli\": {}}}{comma}\n",
-                e.name,
-                e.jobs,
-                e.workers,
-                e.queue_capacity,
-                e.rate_milli_x,
-                e.rounds,
-                e.messages,
-                e.wall_ns,
-                e.offered_per_sec_milli,
-                e.p50_ns,
-                e.p99_ns,
-                e.solves_per_sec_milli,
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-}
+use crate::record::{Record, Report};
 
 /// The fixed mixed job list: `small_jobs` over the first corpus instance
 /// (solver kinds cycling, certificates attached) plus `large_jobs` on a
@@ -241,7 +154,7 @@ fn probe_admission_control(requests: &[SolveRequest], threshold: usize) {
 }
 
 /// Submits the whole mix (optionally paced), waits for every result, and
-/// asserts completeness + bit-identity before emitting an entry.
+/// asserts completeness + bit-identity before returning the tier's record.
 #[allow(clippy::too_many_arguments)]
 fn load_tier(
     name: &str,
@@ -253,8 +166,7 @@ fn load_tier(
     interarrival: Option<Duration>,
     rate_milli_x: u64,
     offered_per_sec_milli: u64,
-    entries: &mut Vec<ServerBenchEntry>,
-) {
+) -> Record {
     let mut server = StreamingServer::new(ServerConfig {
         workers,
         queue_capacity,
@@ -302,23 +214,22 @@ fn load_tier(
     server.shutdown();
     latencies.sort_unstable();
     let pct = |p: usize| latencies[(latencies.len() - 1) * p / 100];
-    entries.push(ServerBenchEntry {
-        name: name.to_string(),
-        jobs: requests.len(),
-        workers,
-        queue_capacity,
-        rate_milli_x,
-        rounds,
-        messages,
-        wall_ns,
-        offered_per_sec_milli,
-        p50_ns: pct(50),
-        p99_ns: pct(99),
-        solves_per_sec_milli: (requests.len() as u64)
-            .saturating_mul(1_000_000_000_000)
-            .checked_div(wall_ns.max(1))
-            .unwrap_or(0),
-    });
+    let solves_per_sec_milli = (requests.len() as u64)
+        .saturating_mul(1_000_000_000_000)
+        .checked_div(wall_ns.max(1))
+        .unwrap_or(0);
+    Record::new(name)
+        .det("jobs", requests.len() as u64)
+        .det("workers", workers as u64)
+        .det("queue_capacity", queue_capacity as u64)
+        .det("rate_milli_x", rate_milli_x)
+        .det("rounds", rounds)
+        .det("messages", messages)
+        .wall("wall_ns", wall_ns)
+        .wall("offered_per_sec_milli", offered_per_sec_milli)
+        .wall("p50_ns", pct(50))
+        .wall("p99_ns", pct(99))
+        .wall("solves_per_sec_milli", solves_per_sec_milli)
 }
 
 /// Runs the probes, the closed-loop capacity tier, and the open-loop rate
@@ -326,7 +237,7 @@ fn load_tier(
 ///
 /// `quick` shrinks the job mix (CI smoke); the tier structure — probes,
 /// closed loop, offered rates ×{0.5, 1, 2} — is identical in both modes.
-pub fn collect(quick: bool) -> ServerBenchReport {
+pub fn collect(quick: bool) -> Report {
     let tier = if quick { Tier::Quick } else { Tier::Full };
     let (small_jobs, large_jobs) = if quick { (22, 2) } else { (92, 4) };
     let workers = 4;
@@ -335,10 +246,9 @@ pub fn collect(quick: bool) -> ServerBenchReport {
 
     probe_admission_control(&requests, threshold);
 
-    let mut entries = Vec::new();
     // Closed loop: everything at once through a deep queue — the measured
     // capacity the open-loop tiers are scaled from.
-    load_tier(
+    let closed = load_tier(
         "server/closed-loop",
         &requests,
         &baseline,
@@ -348,9 +258,13 @@ pub fn collect(quick: bool) -> ServerBenchReport {
         None,
         0,
         0,
-        &mut entries,
     );
-    let capacity_jobs_per_sec_milli = entries[0].solves_per_sec_milli.max(1);
+    let capacity_jobs_per_sec_milli = closed
+        .wall
+        .get("solves_per_sec_milli")
+        .expect("load_tier records throughput")
+        .max(1);
+    let mut records = vec![closed];
 
     // Open loop: fixed inter-arrival at ×{0.5, 1, 2} of capacity, through
     // a shallow queue so over-capacity load actually backpressures.
@@ -363,7 +277,7 @@ pub fn collect(quick: bool) -> ServerBenchReport {
                 .unwrap_or(u64::MAX)
                 .min(5_000_000_000), // cap pathological gaps at 5 s/job
         );
-        load_tier(
+        records.push(load_tier(
             &format!("server/open-loop/x{:.1}", rate_milli_x as f64 / 1000.0),
             &requests,
             &baseline,
@@ -373,14 +287,10 @@ pub fn collect(quick: bool) -> ServerBenchReport {
             Some(interarrival),
             rate_milli_x,
             offered_per_sec_milli,
-            &mut entries,
-        );
+        ));
     }
 
-    ServerBenchReport {
-        mode: if quick { "quick" } else { "full" }.to_string(),
-        entries,
-    }
+    Report::new("server", quick, records)
 }
 
 #[cfg(test)]
@@ -389,26 +299,20 @@ mod tests {
 
     #[test]
     fn json_has_schema_and_one_entry_per_line() {
-        let report = ServerBenchReport {
-            mode: "quick".into(),
-            entries: vec![ServerBenchEntry {
-                name: "server/open-loop/x1.0".into(),
-                jobs: 24,
-                workers: 4,
-                queue_capacity: 8,
-                rate_milli_x: 1000,
-                rounds: 4224,
-                messages: 105_984,
-                wall_ns: 123,
-                offered_per_sec_milli: 456,
-                p50_ns: 7,
-                p99_ns: 8,
-                solves_per_sec_milli: 9,
-            }],
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"dsf-bench-server/v1\""));
-        assert!(json.contains("\"rate_milli_x\": 1000"));
+        // One real (tiny) closed-loop record: admission and work counters
+        // are det, latencies and rates wall.
+        let (requests, threshold) = mixed_requests(Tier::Quick, 2, 0);
+        let baseline = references(&requests);
+        let record = load_tier(
+            "server/x", &requests, &baseline, threshold, 1, 2, None, 0, 0,
+        );
+        assert_eq!(record.det.get("jobs"), Some(2));
+        assert_eq!(record.det.get("rate_milli_x"), Some(0));
+        assert!(record.wall.get("p50_ns") <= record.wall.get("p99_ns"));
+        assert!(record.obs.iter().next().is_none());
+        let json = Report::new("server", true, vec![record]).to_json();
+        assert!(json.contains("\"schema\": \"dsf-bench/v5\""));
+        assert!(json.contains("\"tier\": \"server\""));
         assert_eq!(json.lines().filter(|l| l.contains("\"name\"")).count(), 1);
     }
 
@@ -416,16 +320,20 @@ mod tests {
     fn quick_collect_gates_and_reports_all_tiers() {
         let report = collect(true);
         assert_eq!(report.mode, "quick");
-        assert_eq!(report.entries.len(), 4, "closed loop + three rates");
-        for e in &report.entries {
-            assert_eq!(e.jobs, 24);
-            assert!(e.rounds > 0 && e.messages > 0);
-            assert!(e.p50_ns <= e.p99_ns);
+        assert_eq!(report.records.len(), 4, "closed loop + three rates");
+        let det = |r: &Record, key: &str| r.det.get(key).unwrap();
+        for r in &report.records {
+            assert_eq!(det(r, "jobs"), 24);
+            assert!(det(r, "rounds") > 0 && det(r, "messages") > 0);
+            assert!(r.wall.get("p50_ns").unwrap() <= r.wall.get("p99_ns").unwrap());
         }
         // Deterministic sums agree across tiers: scheduling is invisible.
-        let (r0, m0) = (report.entries[0].rounds, report.entries[0].messages);
-        for e in &report.entries[1..] {
-            assert_eq!((e.rounds, e.messages), (r0, m0));
+        let first = &report.records[0];
+        for r in &report.records[1..] {
+            assert_eq!(
+                (det(r, "rounds"), det(r, "messages")),
+                (det(first, "rounds"), det(first, "messages"))
+            );
         }
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * **repeat** — one corpus instance solved `batch` times (solver kinds
 //!   cycling, one seed per job) at batch sizes {1, 16, 256} and worker
-//!   counts {1, 4}. Before an entry is emitted the harness asserts
+//!   counts {1, 4}. Before a record is emitted the harness asserts
 //!   (a) every batched job is bit-identical — forest, full round ledger,
 //!   ratio — to a one-at-a-time solve on a fresh session, and (b) the
 //!   measured batch ran on warm sessions with **zero** arena builds
@@ -21,26 +21,13 @@
 //! gates are the in-harness asserts — a violated determinism or
 //! allocation guarantee aborts the run.
 //!
-//! # JSON schema (`dsf-bench-service/v1`)
+//! # Records (tier `service`)
 //!
-//! ```json
-//! {
-//!   "schema": "dsf-bench-service/v1",
-//!   "mode": "quick",
-//!   "entries": [
-//!     {"name": "service/repeat/gnp/batch=16/workers=4", "jobs": 16,
-//!      "batch": 16, "workers": 4, "rounds": 2816, "messages": 70656,
-//!      "arena_reuses": 96, "arena_builds": 0, "wall_ns": 1,
-//!      "solves_per_sec_milli": 1}
-//!   ]
-//! }
-//! ```
-//!
-//! `jobs`, `batch`, `workers`, `rounds`, `messages`, `arena_reuses`, and
-//! `arena_builds` are deterministic (the queue's round-robin assignment is
-//! static); `wall_ns` and `solves_per_sec_milli` are machine-dependent,
-//! report-only, tracked as a trajectory via the CI artifact. One entry
-//! object per line, same line-oriented convention as the executor schema.
+//! `det`: `jobs`, `batch`, `workers`, `rounds`, `messages`,
+//! `arena_reuses`, and `arena_builds` (the queue's round-robin assignment
+//! is static, so all are schedule-invariant; `arena_builds` is 0 on every
+//! record). `wall`: `wall_ns` of the measured batch and
+//! `solves_per_sec_milli`.
 
 use std::sync::Arc;
 
@@ -50,75 +37,7 @@ use dsf_service::{
 };
 use dsf_workloads::corpus::{stream, CorpusEntry, Tier};
 
-/// Identifier of the emitted JSON layout.
-pub const SCHEMA: &str = "dsf-bench-service/v1";
-
-/// One service benchmark result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServiceBenchEntry {
-    /// Workload id, e.g. `service/repeat/gnp/batch=16/workers=4`.
-    pub name: String,
-    /// Jobs executed by the measured batch.
-    pub jobs: usize,
-    /// Configured batch size.
-    pub batch: usize,
-    /// Worker sessions of the service.
-    pub workers: usize,
-    /// Sum of per-job total rounds (deterministic).
-    pub rounds: u64,
-    /// Sum of per-job delivered messages (deterministic).
-    pub messages: u64,
-    /// Arena checkouts served by in-place reuse during the measured batch
-    /// (deterministic).
-    pub arena_reuses: u64,
-    /// Arena allocations during the measured batch (deterministic; 0 on a
-    /// warm service).
-    pub arena_builds: u64,
-    /// Wall-clock of the measured batch in nanoseconds (report-only).
-    pub wall_ns: u64,
-    /// `1000 × jobs / seconds` (report-only).
-    pub solves_per_sec_milli: u64,
-}
-
-/// A full `--service` report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServiceBenchReport {
-    /// `"quick"` or `"full"`.
-    pub mode: String,
-    /// All entries, in a deterministic order.
-    pub entries: Vec<ServiceBenchEntry>,
-}
-
-impl ServiceBenchReport {
-    /// Serializes to the `dsf-bench-service/v1` JSON layout.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let comma = if i + 1 < self.entries.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"jobs\": {}, \"batch\": {}, \"workers\": {}, \
-                 \"rounds\": {}, \"messages\": {}, \"arena_reuses\": {}, \
-                 \"arena_builds\": {}, \"wall_ns\": {}, \"solves_per_sec_milli\": {}}}{comma}\n",
-                e.name,
-                e.jobs,
-                e.batch,
-                e.workers,
-                e.rounds,
-                e.messages,
-                e.arena_reuses,
-                e.arena_builds,
-                e.wall_ns,
-                e.solves_per_sec_milli,
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-}
+use crate::record::{Record, Report};
 
 /// The `batch` requests of the repeat workload: one instance, solver kinds
 /// cycling, seed = job index.
@@ -181,16 +100,15 @@ fn assert_batched_matches(name: &str, report: &ServiceReport, baseline: &[JobOut
 }
 
 /// Runs a warmup batch plus the measured batch on a fresh service and
-/// emits one entry, asserting determinism vs `baseline` and zero arena
-/// builds on the warm repetition.
-fn service_entry(
+/// returns its record, asserting determinism vs `baseline` and zero
+/// arena builds on the warm repetition.
+fn service_record(
     name: &str,
     requests: &[SolveRequest],
     workers: usize,
     batch: usize,
     baseline: &[JobOutcome],
-    entries: &mut Vec<ServiceBenchEntry>,
-) {
+) -> Record {
     let mut service = SolverService::new(ServiceConfig {
         workers,
         ..Default::default()
@@ -210,18 +128,16 @@ fn service_entry(
         builds, 0,
         "{name}: steady-state session reuse must not allocate arenas"
     );
-    entries.push(ServiceBenchEntry {
-        name: name.to_string(),
-        jobs: measured.jobs.len(),
-        batch,
-        workers,
-        rounds: measured.total_rounds(),
-        messages: measured.total_messages(),
-        arena_reuses: stats.reuses - warm_stats.reuses,
-        arena_builds: builds,
-        wall_ns: measured.wall_ns,
-        solves_per_sec_milli: measured.solves_per_sec_milli(),
-    });
+    Record::new(name)
+        .det("jobs", measured.jobs.len() as u64)
+        .det("batch", batch as u64)
+        .det("workers", workers as u64)
+        .det("rounds", measured.total_rounds())
+        .det("messages", measured.total_messages())
+        .det("arena_reuses", stats.reuses - warm_stats.reuses)
+        .det("arena_builds", builds)
+        .wall("wall_ns", measured.wall_ns)
+        .wall("solves_per_sec_milli", measured.solves_per_sec_milli())
 }
 
 /// Runs every service workload and assembles the report.
@@ -229,11 +145,11 @@ fn service_entry(
 /// `quick` selects the quick corpus tier (CI smoke); the workload
 /// structure — batch sizes {1, 16, 256}, worker counts {1, 4}, repeat +
 /// sweep tiers — is identical in both modes.
-pub fn collect(quick: bool) -> ServiceBenchReport {
+pub fn collect(quick: bool) -> Report {
     let tier = if quick { Tier::Quick } else { Tier::Full };
     let batches = [1usize, 16, 256];
     let worker_counts = [1usize, 4];
-    let mut entries = Vec::new();
+    let mut records = Vec::new();
 
     // Repeat tier: the first corpus instance, solved over and over. The
     // request list for a smaller batch is a prefix of the largest one, so
@@ -251,7 +167,7 @@ pub fn collect(quick: bool) -> ServiceBenchReport {
         let requests = &all_requests[..batch];
         let baseline = &all_baseline[..batch];
         for workers in worker_counts {
-            service_entry(
+            records.push(service_record(
                 &format!(
                     "service/repeat/{}/batch={batch}/workers={workers}",
                     entry.family
@@ -260,8 +176,7 @@ pub fn collect(quick: bool) -> ServiceBenchReport {
                 workers,
                 batch,
                 baseline,
-                &mut entries,
-            );
+            ));
         }
     }
 
@@ -273,7 +188,7 @@ pub fn collect(quick: bool) -> ServiceBenchReport {
         .map(|r| SolverSession::new().solve(r).expect("clean solve"))
         .collect();
     for workers in worker_counts {
-        service_entry(
+        records.push(service_record(
             &format!(
                 "service/sweep/det/batch={}/workers={workers}",
                 requests.len()
@@ -282,14 +197,10 @@ pub fn collect(quick: bool) -> ServiceBenchReport {
             workers,
             requests.len(),
             &baseline,
-            &mut entries,
-        );
+        ));
     }
 
-    ServiceBenchReport {
-        mode: if quick { "quick" } else { "full" }.to_string(),
-        entries,
-    }
+    Report::new("service", quick, records)
 }
 
 #[cfg(test)]
@@ -298,24 +209,27 @@ mod tests {
 
     #[test]
     fn json_has_schema_and_one_entry_per_line() {
-        let report = ServiceBenchReport {
-            mode: "quick".into(),
-            entries: vec![ServiceBenchEntry {
-                name: "service/repeat/gnp/batch=16/workers=4".into(),
-                jobs: 16,
-                batch: 16,
-                workers: 4,
-                rounds: 2816,
-                messages: 70656,
-                arena_reuses: 96,
-                arena_builds: 0,
-                wall_ns: 123,
-                solves_per_sec_milli: 456,
-            }],
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"dsf-bench-service/v1\""));
-        assert!(json.contains("\"arena_builds\": 0"));
+        // One real (tiny) repeat record: the work counters are det, the
+        // timings wall, and the warm batch built no arenas.
+        let entry = stream(Tier::Quick).next().expect("corpus is nonempty");
+        let requests = repeat_requests(&entry, &Arc::new(entry.graph.clone()), 2);
+        let baseline: Vec<JobOutcome> = requests
+            .iter()
+            .map(|r| SolverSession::new().solve(r).expect("clean solve"))
+            .collect();
+        let record = service_record(
+            "service/repeat/x/batch=2/workers=1",
+            &requests,
+            1,
+            2,
+            &baseline,
+        );
+        assert_eq!(record.det.get("jobs"), Some(2));
+        assert_eq!(record.det.get("arena_builds"), Some(0));
+        assert!(record.wall.get("wall_ns").is_some() && record.obs.iter().next().is_none());
+        let json = Report::new("service", true, vec![record]).to_json();
+        assert!(json.contains("\"schema\": \"dsf-bench/v5\""));
+        assert!(json.contains("\"tier\": \"service\""));
         assert_eq!(json.lines().filter(|l| l.contains("\"name\"")).count(), 1);
     }
 }

@@ -90,11 +90,12 @@ pub enum SimError {
         /// The configured limit.
         limit: u64,
     },
-    /// Node count mismatch between graph and protocol states.
+    /// Node count mismatch between the graph and the protocol states (or,
+    /// from a solver session, the request's instance).
     WrongNodeCount {
         /// Nodes in the graph.
         expected: usize,
-        /// Protocol states supplied.
+        /// Protocol states (or instance nodes) supplied.
         got: usize,
     },
     /// The graph exceeds the compact executor's u32 arena: node ids,
@@ -132,7 +133,7 @@ impl fmt::Display for SimError {
                 write!(f, "no quiescence within {limit} rounds")
             }
             SimError::WrongNodeCount { expected, got } => {
-                write!(f, "graph has {expected} nodes but {got} states were given")
+                write!(f, "graph has {expected} nodes but {got} were supplied")
             }
             SimError::ArenaOverflow { nodes, edges } => {
                 write!(

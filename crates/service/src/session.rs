@@ -113,8 +113,11 @@ impl SolverSession {
     ///
     /// # Errors
     ///
-    /// Propagates any [`SimError`] the solver raises (model violations
-    /// indicate solver bugs, not user errors).
+    /// [`SimError::WrongNodeCount`] for a request whose instance and graph
+    /// disagree on the node count (see
+    /// [`SolverSession::solve_with_threads`]); any other [`SimError`] the
+    /// solver raises is propagated (model violations indicate solver bugs,
+    /// not user errors).
     pub fn solve(&mut self, req: &SolveRequest) -> Result<JobOutcome, SimError> {
         self.solve_with_threads(req, 1)
     }
@@ -127,12 +130,21 @@ impl SolverSession {
     ///
     /// # Errors
     ///
-    /// Propagates any [`SimError`] the solver raises.
+    /// [`SimError::WrongNodeCount`] when the request's instance was built
+    /// on a graph with a different node count than `req.graph` (checked
+    /// before dispatch, so such a request never reaches a solver);
+    /// otherwise propagates any [`SimError`] the solver raises.
     pub fn solve_with_threads(
         &mut self,
         req: &SolveRequest,
         threads: usize,
     ) -> Result<JobOutcome, SimError> {
+        if req.instance.n() != req.graph.n() {
+            return Err(SimError::WrongNodeCount {
+                expected: req.graph.n(),
+                got: req.instance.n(),
+            });
+        }
         let t0 = Instant::now();
         let (forest, ledger) = with_threads(threads, || self.pool.scope(|| dispatch(req)))?;
         let wall_ns = t0.elapsed().as_nanos() as u64;

@@ -214,3 +214,32 @@ fn zero_workers_clamps_to_one() {
     assert_eq!(service.workers(), 1);
     assert_eq!(service.session_stats().len(), 1);
 }
+
+#[test]
+fn mismatched_instance_and_graph_is_a_typed_error_not_a_panic() {
+    // The instance was built on a 30-node graph but the request carries a
+    // 10-node one: the session rejects it before any solver indexes the
+    // instance out of bounds.
+    let big = generators::path(30, 1);
+    let inst = InstanceBuilder::new(&big)
+        .component(&[NodeId(0), NodeId(29)])
+        .build()
+        .unwrap();
+    let small = Arc::new(generators::path(10, 1));
+    let bad = SolveRequest::new("bad", small, inst, SolverKind::Deterministic, 0);
+    let expected = dsf_congest::SimError::WrongNodeCount {
+        expected: 10,
+        got: 30,
+    };
+    assert_eq!(SolverSession::new().solve(&bad).unwrap_err(), expected);
+
+    let mut requests = mixed_requests();
+    requests.insert(1, bad);
+    for workers in [1, 4] {
+        let mut service = SolverService::new(ServiceConfig {
+            workers,
+            ..Default::default()
+        });
+        assert_eq!(service.run_batch(&requests).unwrap_err(), expected);
+    }
+}

@@ -122,3 +122,50 @@ fn control_plane_is_observable_end_to_end() {
     streamed.sort();
     assert_eq!(streamed, ["doomed", "expired"]);
 }
+
+#[test]
+fn mismatched_request_fails_typed_and_the_next_job_completes() {
+    // An instance built on a 30-node graph, carried with a 10-node graph:
+    // before the session validated requests, this panicked the lane's only
+    // worker and neither job was ever reported.
+    let big = generators::path(30, 1);
+    let inst = InstanceBuilder::new(&big)
+        .component(&[NodeId(0), NodeId(29)])
+        .build()
+        .unwrap();
+    let small = Arc::new(generators::path(10, 1));
+    let bad = SolveRequest::new("bad", small, inst, SolverKind::Deterministic, 0);
+    let ((g, good_inst), _) = mixed_workloads();
+    let good = SolveRequest::new("good", g, good_inst, SolverKind::Deterministic, 0);
+
+    let mut server = StreamingServer::new(ServerConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let bad_handle = server.submit(bad).expect("admitted");
+    let good_handle = server.submit(good.clone()).expect("admitted");
+    let bad_result = bad_handle
+        .wait_timeout(Duration::from_secs(60))
+        .expect("the bad job is reported");
+    assert!(
+        matches!(
+            bad_result.status,
+            JobStatus::Failed(steiner_forest::congest::SimError::WrongNodeCount {
+                expected: 10,
+                got: 30
+            })
+        ),
+        "got {:?}",
+        bad_result.status
+    );
+    let good_result = good_handle
+        .wait_timeout(Duration::from_secs(60))
+        .expect("the next job is reported");
+    let reference = SolverSession::new().solve(&good).expect("clean solve");
+    assert!(good_result
+        .status
+        .outcome()
+        .expect("completed")
+        .deterministic_eq(&reference));
+    server.shutdown();
+}
