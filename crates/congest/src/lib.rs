@@ -46,9 +46,9 @@
 //! per-worker effort counters are exposed as [`SchedStats::workers`] and
 //! process-wide via [`sched_obs_totals`]).
 //! [`run`] itself dispatches on [`default_threads`] (the `DSF_THREADS`
-//! environment variable, overridable via [`set_default_threads`]), so the
-//! whole solver stack parallelizes without a code change — and without an
-//! observable one. [`run_reference`] is the retained naive executor —
+//! environment variable, or a scoped per-thread [`with_threads`]
+//! override), so the whole solver stack parallelizes without a code
+//! change — and without an observable one. [`run_reference`] is the retained naive executor —
 //! everyone, every round — serving as the semantic oracle ([`RunMetrics`]
 //! and final states are bit-identical; property-tested) and as the
 //! baseline `bench_runner` measures scheduling savings against.
@@ -105,7 +105,4 @@ pub use ledger::{LedgerEntry, RoundLedger};
 pub use message::{id_bits, weight_bits, Message};
 pub use pool::{BufferPool, PoolStats};
 pub use scheduler::{run, run_with_buffers};
-pub use shard::{
-    default_threads, run_sharded, sched_obs_totals, set_default_threads, with_threads,
-    SchedObsTotals,
-};
+pub use shard::{default_threads, run_sharded, sched_obs_totals, with_threads, SchedObsTotals};

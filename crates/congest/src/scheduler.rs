@@ -38,7 +38,7 @@ use crate::shard::{default_threads, run_sharded};
 ///
 /// The engine is chosen by the configured worker-thread count
 /// ([`crate::default_threads`], settable via the `DSF_THREADS` environment
-/// variable or [`crate::set_default_threads`]): 1 runs the single-threaded
+/// variable or a scoped [`crate::with_threads`]): 1 runs the single-threaded
 /// active-set scheduler — reusing a pooled slot arena when a
 /// [`crate::BufferPool`] is installed on the thread, allocating fresh
 /// [`RunBuffers`] otherwise; more dispatches to [`crate::run_sharded`].

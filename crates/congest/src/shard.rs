@@ -114,8 +114,8 @@ thread_local! {
 /// The worker-thread count [`crate::run`] dispatches on for the calling
 /// thread: a scoped [`with_threads`] override if one is installed,
 /// otherwise the process-wide default — the value of the `DSF_THREADS`
-/// environment variable at first use (clamped to ≥ 1, default 1), unless
-/// overridden via [`set_default_threads`]. Thread count never changes any
+/// environment variable at first use (clamped to ≥ 1, default 1). Thread
+/// count never changes any
 /// deterministic outcome — it is a wall-clock knob only.
 ///
 /// A set-but-malformed `DSF_THREADS` (unparseable, or `0`) falls back to
@@ -152,20 +152,12 @@ pub fn default_threads() -> usize {
     }
 }
 
-/// Overrides the worker-thread count [`crate::run`] uses from now on
-/// (clamped to ≥ 1). Safe to flip at any time — runs are bit-identical
-/// across thread counts, so concurrent readers observe no behavioral
-/// difference.
-pub fn set_default_threads(threads: usize) {
-    DEFAULT_THREADS.store(threads.max(1), Ordering::Relaxed);
-}
-
 /// Runs `f` with this thread's [`crate::run`] dispatch pinned to
 /// `threads` workers (clamped to ≥ 1), restoring the previous state on
-/// exit — including on unwind. Unlike [`set_default_threads`] this is
-/// purely thread-local: concurrent runs on other threads are unaffected,
-/// which is how the solver service schedules batches without perturbing
-/// anyone else's configuration. Nesting is allowed; the innermost
+/// exit — including on unwind. The override is purely thread-local:
+/// concurrent runs on other threads are unaffected, which is how the
+/// solver service schedules batches without perturbing anyone else's
+/// configuration. Nesting is allowed; the innermost
 /// override wins.
 pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);

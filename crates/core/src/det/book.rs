@@ -52,7 +52,12 @@ impl MoatBook {
     }
 
     /// Applies a merge; returns `(involved_inactive, new_moat_active)`.
-    pub(crate) fn apply(&mut self, a: usize, b: usize) -> (bool, bool) {
+    ///
+    /// Activity handling mirrors [`dsf_steiner::moat`]'s `Grower::merge`:
+    /// Algorithm 1 re-evaluates the new moat at once
+    /// (`defer_deactivation = false`); Algorithm 2 (line 33) keeps merged
+    /// moats active until the next checkpoint.
+    pub(crate) fn merge(&mut self, a: usize, b: usize, defer_deactivation: bool) -> (bool, bool) {
         let (ra, rb) = (self.moats.find(a), self.moats.find(b));
         assert_ne!(ra, rb, "cycle-closing merge reached bookkeeping");
         let involved_inactive = !self.act[ra] || !self.act[rb];
@@ -68,33 +73,9 @@ impl MoatBook {
         let lr = self.labels.find(la);
         self.moats.union(a, b);
         let mr = self.moats.find(a);
-        let new_active = self.moats.set_size(mr) != self.total[lr];
+        let new_active = defer_deactivation || self.moats.set_size(mr) != self.total[lr];
         self.act[mr] = new_active;
         (involved_inactive, new_active)
-    }
-}
-
-impl MoatBook {
-    /// Applies a merge with Algorithm 2 semantics (line 33): the merged
-    /// moat stays active until the next checkpoint. Returns whether an
-    /// inactive moat was involved (a merge-phase boundary, Def. 4.19).
-    pub(crate) fn apply_deferred(&mut self, a: usize, b: usize) -> bool {
-        let (ra, rb) = (self.moats.find(a), self.moats.find(b));
-        assert_ne!(ra, rb, "cycle-closing merge reached bookkeeping");
-        let involved_inactive = !self.act[ra] || !self.act[rb];
-        let (la, lb) = (
-            self.labels.find(self.term_label[a]),
-            self.labels.find(self.term_label[b]),
-        );
-        if la != lb {
-            self.labels.union(la, lb);
-            let lr = self.labels.find(la);
-            self.total[lr] = self.total[la] + self.total[lb];
-        }
-        self.moats.union(a, b);
-        let mr = self.moats.find(a);
-        self.act[mr] = true;
-        involved_inactive
     }
 
     /// Re-evaluates every moat's activity (Algorithm 2's checkpoint,

@@ -1,10 +1,15 @@
-//! Phase-loop driver of the deterministic algorithm (Theorem 4.17).
+//! Phase-loop driver of the deterministic algorithm (Theorem 4.17), run
+//! under one of two phase-end rules: the exact rule of Algorithm 1 or the
+//! rounded checkpoint rule of Algorithm 2 (Section 4.2, [`super::growth`]).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use dsf_congest::{CongestConfig, RoundLedger, SimError};
 use dsf_graph::dyadic::Dyadic;
 use dsf_graph::{EdgeId, GraphBuilder, NodeId, WeightedGraph};
+use dsf_steiner::moat_rounded::next_mu_hat;
 use dsf_steiner::{ForestSolution, Instance, InstanceBuilder};
 
 use crate::primitives::{
@@ -16,24 +21,12 @@ use super::book::MoatBook;
 use super::voronoi::{decompose, VorStatus};
 
 /// Configuration of the deterministic solver.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DetConfig {
     /// Override of the per-edge bandwidth (None: `CongestConfig::for_graph`).
     pub bandwidth_bits: Option<usize>,
-    /// Safety bound on merge phases (Lemma 4.4 guarantees `≤ 2k`).
-    pub max_phases: usize,
     /// Edges whose traffic is metered (lower-bound experiments).
     pub metered_cut: Vec<EdgeId>,
-}
-
-impl Default for DetConfig {
-    fn default() -> Self {
-        DetConfig {
-            bandwidth_bits: None,
-            max_phases: 10_000,
-            metered_cut: Vec::new(),
-        }
-    }
 }
 
 /// One accepted merge.
@@ -67,6 +60,83 @@ pub struct DetOutput {
     pub merges: Vec<DetMerge>,
 }
 
+/// When a merge phase ends — the one point where Algorithm 2 differs
+/// from Algorithm 1.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PhaseEnd {
+    /// Algorithm 1 (Corollary 4.16): at the first merge that changes
+    /// activity.
+    Exact,
+    /// Algorithm 2 (Definition 4.19): before any candidate at or beyond
+    /// the checkpoint `μ̂`, and at any merge involving an inactive moat.
+    /// Activities change only at checkpoints, after which `μ̂` advances
+    /// by the factor `1 + ε/2`.
+    Rounded {
+        /// The `ε` of the `(2+ε)` approximation.
+        eps: Dyadic,
+    },
+}
+
+/// Safety bound on the rounded rule's merge phases. Lemma F.1 bounds them
+/// by `t` plus `O(log WD/ε)` checkpoints; this only catches a runaway loop.
+const MAX_ROUNDED_PHASES: usize = 100_000;
+
+/// The phase loop's outcome, before the wrappers realize and charge the
+/// final selection.
+pub(crate) struct Grown {
+    pub(crate) ledger: RoundLedger,
+    /// Merge phases executed.
+    pub(crate) phases: usize,
+    /// Checkpoints passed (always 0 under [`PhaseEnd::Exact`]).
+    pub(crate) checkpoints: usize,
+    /// Every accepted merge, in global order.
+    pub(crate) merges: Vec<DetMerge>,
+    /// Indices into `merges` of the minimal subset `F_min`.
+    pub(crate) fmin: Vec<usize>,
+    parent_ptr: Vec<Option<NodeId>>,
+    bfs_height: u64,
+}
+
+impl Grown {
+    /// Realizes the merges `cands` by marking the region-tree paths from
+    /// both ends of each inducing edge (E.1 Step 5). Returns the forest
+    /// and the longest path walked, in hops.
+    pub(crate) fn realize(
+        &self,
+        g: &WeightedGraph,
+        cands: impl IntoIterator<Item = usize>,
+    ) -> (ForestSolution, u64) {
+        let mut max_hops = 0u64;
+        let mut edges: Vec<EdgeId> = Vec::new();
+        for ci in cands {
+            let edge = self.merges[ci].edge;
+            edges.push(edge);
+            let e = g.edge(edge);
+            for endpoint in [e.u, e.v] {
+                let mut cur = endpoint;
+                let mut hops = 0u64;
+                while let Some(p) = self.parent_ptr[cur.idx()] {
+                    edges.push(g.find_edge(cur, p).expect("parent is a neighbor"));
+                    cur = p;
+                    hops += 1;
+                    assert!(hops <= g.n() as u64, "parent pointer loop");
+                }
+                max_hops = max_hops.max(hops);
+            }
+        }
+        (ForestSolution::from_edges(edges), max_hops)
+    }
+
+    /// Charges the token marking of the final selection, whose paths were
+    /// at most `max_hops` long.
+    pub(crate) fn charge_token_marking(&mut self, max_hops: u64) {
+        self.ledger.charge(
+            "final selection: token marking O(s + D)",
+            max_hops + self.bfs_height,
+        );
+    }
+}
+
 /// Packs an accepted candidate for flooding.
 fn pack_candidate(c: &UpcastCandidate) -> FloodItem {
     let payload = ((c.a as u128) << 64) | ((c.b as u128) << 40) | (c.edge.0 as u128);
@@ -84,6 +154,281 @@ fn pack_mu(mu: Dyadic) -> FloodItem {
         payload: (1u128 << 120) | ((m as u128) << 8) | e as u128,
         bits: 96,
     }
+}
+
+/// Runs the merge phases under `rule` and selects `F_min`. Returns `None`
+/// for an instance without terminals (nothing is simulated or charged).
+///
+/// # Panics
+///
+/// Panics if internal invariants are violated (e.g. an exact-rule phase
+/// without an activity-changing merge, which Lemma 4.4 rules out).
+pub(crate) fn grow(
+    g: &WeightedGraph,
+    inst: &Instance,
+    congest: &CongestConfig,
+    rule: PhaseEnd,
+) -> Result<Option<Grown>, SimError> {
+    let mut ledger = RoundLedger::new();
+    let minimal = inst.make_minimal();
+    let terms = minimal.terminals();
+    if terms.is_empty() {
+        return Ok(None);
+    }
+    let tidx: HashMap<NodeId, u32> = terms
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| (t, i as u32))
+        .collect();
+
+    // Step 1: BFS tree + global broadcast of (terminal, label).
+    let bfs = build_bfs_tree(g, NodeId(0), congest)?;
+    ledger.record("BFS tree construction", &bfs.metrics);
+    let label_items: Vec<Vec<FloodItem>> = g
+        .nodes()
+        .map(|v| match minimal.label(v) {
+            Some(l) => vec![FloodItem {
+                payload: ((v.0 as u128) << 32) | l.0 as u128,
+                bits: 64,
+            }],
+            None => Vec::new(),
+        })
+        .collect();
+    let lf = flood_items(g, label_items, congest)?;
+    ledger.record("terminal label broadcast (Step 1)", &lf.metrics);
+
+    // Replicated bookkeeping + per-node region state.
+    let mut book = MoatBook::new(&minimal, &terms);
+    let n = g.n();
+    let mut owner: Vec<Option<u32>> = vec![None; n];
+    let mut rel: Vec<Dyadic> = vec![Dyadic::ZERO; n];
+    let mut parent_ptr: Vec<Option<NodeId>> = vec![None; n];
+    for (i, &t) in terms.iter().enumerate() {
+        owner[t.idx()] = Some(i as u32);
+    }
+
+    let rounded = matches!(rule, PhaseEnd::Rounded { .. });
+    let max_phases = if rounded {
+        MAX_ROUNDED_PHASES
+    } else {
+        2 * minimal.k() + 1 // Lemma 4.4
+    };
+    let mut merges: Vec<DetMerge> = Vec::new();
+    let mut phase = 0usize;
+    // Rounded rule: the next checkpoint `μ̂` and the growth since start.
+    let mut mu_hat = Dyadic::ONE;
+    let mut elapsed = Dyadic::ZERO;
+    let mut checkpoints = 0usize;
+
+    while book.active_moats() > 0 {
+        phase += 1;
+        assert!(phase <= max_phases, "phase count exceeds its bound");
+        // Growth left before the next checkpoint (rounded rule only).
+        let remaining = rounded.then(|| mu_hat - elapsed);
+
+        // Stage a: terminal decomposition (Lemma 4.8).
+        let status: Vec<VorStatus> = g
+            .nodes()
+            .map(|u| match owner[u.idx()] {
+                Some(i) => {
+                    if book.moat_active(i as usize) {
+                        VorStatus::Source {
+                            owner: i,
+                            offset: rel[u.idx()],
+                        }
+                    } else {
+                        VorStatus::Blocked
+                    }
+                }
+                None => VorStatus::Free,
+            })
+            .collect();
+        let vor = decompose(g, &status, congest)?;
+        ledger.record(
+            format!("phase {phase}: terminal decomposition"),
+            &vor.metrics,
+        );
+        ledger.charge(
+            format!("phase {phase}: BF termination detection O(D)"),
+            bfs.height() as u64,
+        );
+
+        // Combined view of this phase's (owner, offset, active?) per node.
+        let view = |u: usize| -> Option<(u32, Dyadic, bool)> {
+            match owner[u] {
+                Some(i) => {
+                    let active = status[u] != VorStatus::Blocked;
+                    Some((i, rel[u], active))
+                }
+                None => vor.tentative[u].map(|(off, i, _)| (i, off, true)),
+            }
+        };
+
+        // Stage b: candidate proposal over boundary edges (Def. 4.11).
+        let mut local: Vec<Vec<UpcastCandidate>> = vec![Vec::new(); n];
+        for (ei, e) in g.edges().iter().enumerate() {
+            let (u, w) = (e.u.idx(), e.v.idx());
+            let (Some((iu, offu, au)), Some((iw, offw, aw))) = (view(u), view(w)) else {
+                continue;
+            };
+            if iu == iw || (!au && !aw) {
+                continue;
+            }
+            let gap = offu + Dyadic::from_weight(e.w) + offw;
+            let mu = if au && aw { gap.half() } else { gap };
+            let (a, b) = if iu < iw { (iu, iw) } else { (iw, iu) };
+            local[u.min(w)].push(UpcastCandidate {
+                mu,
+                a,
+                b,
+                edge: EdgeId(ei as u32),
+            });
+        }
+        ledger.charge(format!("phase {phase}: boundary exchange"), 1);
+
+        // Stage c: filtered collection with phase-end detection. The root
+        // replays the bookkeeping and stops at an activity-changing merge
+        // (Cor. 4.16; under the rounded rule only merges with an inactive
+        // moat change activity), or — rounded rule, Algorithm 2 line 16 —
+        // *before* a candidate with `μ ≥ μ̂ − elapsed`: equality belongs
+        // to the checkpoint.
+        let prior: Vec<u32> = (0..terms.len())
+            .map(|i| book.moats.find_const(i) as u32)
+            .collect();
+        let mut sim = book.clone();
+        // `Arc<AtomicBool>` rather than `Rc<Cell<_>>`: the closure is
+        // owned by a protocol node, and protocol nodes must be `Send` so
+        // the sharded executor may run them on worker threads.
+        let hit_checkpoint = Arc::new(AtomicBool::new(false));
+        let hit_flag = hit_checkpoint.clone();
+        let verdict = move |c: &UpcastCandidate| {
+            if remaining.is_some_and(|r| c.mu >= r) {
+                hit_flag.store(true, Ordering::Relaxed);
+                return UpcastRootVerdict::StopBefore;
+            }
+            let (involved_inactive, new_active) = sim.merge(c.a as usize, c.b as usize, rounded);
+            if involved_inactive || !new_active {
+                UpcastRootVerdict::AcceptAndStop
+            } else {
+                UpcastRootVerdict::Accept
+            }
+        };
+        let up = filtered_upcast(
+            g,
+            &bfs.parent,
+            &bfs.children,
+            local,
+            &prior,
+            UpcastMode::PhaseDetect(Box::new(verdict)),
+            congest,
+        )?;
+        ledger.record(
+            format!("phase {phase}: filtered merge collection"),
+            &up.metrics,
+        );
+        ledger.charge(
+            format!("phase {phase}: collection termination O(D)"),
+            bfs.height() as u64,
+        );
+        // A drained stream without a stop also means "no merge before the
+        // checkpoint" (e.g. a lone active moat with no candidates left).
+        let checkpoint = hit_checkpoint.load(Ordering::Relaxed) || !up.stopped_early;
+        let mu_phase = if checkpoint {
+            remaining.expect("every exact-rule phase ends with an activity-changing merge")
+        } else {
+            up.accepted.last().expect("stopped at a merge").mu
+        };
+        debug_assert!(!mu_phase.is_negative(), "negative phase growth");
+
+        // Stage d: flood F_c^{(j)} and μ^{(j)} from the root.
+        let mut items: Vec<FloodItem> = up.accepted.iter().map(pack_candidate).collect();
+        items.push(pack_mu(mu_phase));
+        let mut initial = vec![Vec::new(); n];
+        initial[bfs.root.idx()] = items;
+        let fl = flood_items(g, initial, congest)?;
+        ledger.record(format!("phase {phase}: broadcast F_c^(j)"), &fl.metrics);
+
+        // Local updates (radii, capture, parents) — act must be read at
+        // phase start, i.e. before merges are applied to `book`.
+        for u in 0..n {
+            match owner[u] {
+                Some(_) => {
+                    if matches!(status[u], VorStatus::Source { .. }) {
+                        rel[u] -= mu_phase;
+                    }
+                }
+                None => {
+                    if let Some((off, i, par)) = vor.tentative[u] {
+                        if off <= mu_phase {
+                            owner[u] = Some(i);
+                            rel[u] = off - mu_phase;
+                            parent_ptr[u] = Some(par);
+                        }
+                    }
+                }
+            }
+        }
+        // (Terminals are Voronoi sources, so their radii grew in the loop
+        // above: rad(v) += μ ⟺ rel(v) −= μ.)
+
+        // Apply merges to the canonical bookkeeping.
+        for c in &up.accepted {
+            book.merge(c.a as usize, c.b as usize, rounded);
+            merges.push(DetMerge {
+                v: terms[c.a as usize],
+                w: terms[c.b as usize],
+                mu: c.mu,
+                phase,
+                edge: c.edge,
+            });
+        }
+
+        if let PhaseEnd::Rounded { eps } = rule {
+            elapsed += mu_phase;
+            if checkpoint {
+                checkpoints += 1;
+                book.checkpoint_activities();
+                mu_hat = next_mu_hat(mu_hat, eps);
+                // Activity recomputation is global information exchange;
+                // the paper performs it with the Lemma 2.4 machinery
+                // (small moats communicate internally, large moats over
+                // the BFS tree) in O(k + D); see DESIGN.md for the
+                // small/large-moat note.
+                ledger.charge(
+                    format!("checkpoint {checkpoints}: activity recomputation O(k + D)"),
+                    (minimal.k() + 2 * bfs.height() as usize) as u64,
+                );
+            }
+        }
+    }
+
+    // Final selection (E.1 Steps 4-6): minimal candidate subset in G_c,
+    // computed locally from global knowledge; the wrappers realize it by
+    // marking region-tree paths.
+    let mut tb = GraphBuilder::new(terms.len());
+    for m in &merges {
+        tb.add_edge(NodeId(tidx[&m.v]), NodeId(tidx[&m.w]), 1)
+            .expect("accepted merges form a forest");
+    }
+    let tg = tb.build_unchecked();
+    let mut ib = InstanceBuilder::new(&tg);
+    for comp in minimal.components() {
+        let mapped: Vec<NodeId> = comp.iter().map(|t| NodeId(tidx[t])).collect();
+        ib = ib.component(&mapped);
+    }
+    let inst_t = ib.build().expect("components are disjoint");
+    let all_tg: ForestSolution = (0..tg.m() as u32).map(EdgeId).collect();
+    let fmin = all_tg.prune_to_minimal(&tg, &inst_t);
+
+    Ok(Some(Grown {
+        ledger,
+        phases: phase,
+        checkpoints,
+        merges,
+        fmin: fmin.edges().iter().map(|e| e.idx()).collect(),
+        parent_ptr,
+        bfs_height: bfs.height() as u64,
+    }))
 }
 
 /// Solves DSF-IC with the deterministic distributed algorithm
@@ -128,257 +473,26 @@ pub fn solve_deterministic(
         congest.bandwidth_bits = b;
     }
     congest.metered_cut = cfg.metered_cut.iter().copied().collect();
-    let mut ledger = RoundLedger::new();
-
-    let minimal = inst.make_minimal();
-    let terms = minimal.terminals();
-    let tidx: HashMap<NodeId, u32> = terms
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| (t, i as u32))
-        .collect();
-
-    if terms.is_empty() {
+    let Some(mut run) = grow(g, inst, &congest, PhaseEnd::Exact)? else {
         return Ok(DetOutput {
             forest: ForestSolution::empty(),
             raw: ForestSolution::empty(),
-            rounds: ledger,
+            rounds: RoundLedger::new(),
             phases: 0,
             merges: Vec::new(),
         });
-    }
-
-    // Step 1: BFS tree + global broadcast of (terminal, label).
-    let bfs = build_bfs_tree(g, NodeId(0), &congest)?;
-    ledger.record("BFS tree construction", &bfs.metrics);
-    let label_items: Vec<Vec<FloodItem>> = g
-        .nodes()
-        .map(|v| match minimal.label(v) {
-            Some(l) => vec![FloodItem {
-                payload: ((v.0 as u128) << 32) | l.0 as u128,
-                bits: 64,
-            }],
-            None => Vec::new(),
-        })
-        .collect();
-    let lf = flood_items(g, label_items, &congest)?;
-    ledger.record("terminal label broadcast (Step 1)", &lf.metrics);
-
-    // Replicated bookkeeping + per-node region state.
-    let mut book = MoatBook::new(&minimal, &terms);
-    let n = g.n();
-    let mut owner: Vec<Option<u32>> = vec![None; n];
-    let mut rel: Vec<Dyadic> = vec![Dyadic::ZERO; n];
-    let mut parent_ptr: Vec<Option<NodeId>> = vec![None; n];
-    for (i, &t) in terms.iter().enumerate() {
-        owner[t.idx()] = Some(i as u32);
-    }
-
-    let mut merges: Vec<DetMerge> = Vec::new();
-    let mut accepted_all: Vec<UpcastCandidate> = Vec::new();
-    let mut phase = 0usize;
-
-    while book.active_moats() > 0 {
-        phase += 1;
-        assert!(
-            phase <= cfg.max_phases && phase <= 2 * minimal.k() + 1,
-            "phase count exceeds Lemma 4.4 bound"
-        );
-
-        // Stage a: terminal decomposition (Lemma 4.8).
-        let status: Vec<VorStatus> = g
-            .nodes()
-            .map(|u| match owner[u.idx()] {
-                Some(i) => {
-                    if book.moat_active(i as usize) {
-                        VorStatus::Source {
-                            owner: i,
-                            offset: rel[u.idx()],
-                        }
-                    } else {
-                        VorStatus::Blocked
-                    }
-                }
-                None => VorStatus::Free,
-            })
-            .collect();
-        let vor = decompose(g, &status, &congest)?;
-        ledger.record(
-            format!("phase {phase}: terminal decomposition"),
-            &vor.metrics,
-        );
-        ledger.charge(
-            format!("phase {phase}: BF termination detection O(D)"),
-            bfs.height() as u64,
-        );
-
-        // Combined view of this phase's (owner, offset, active?) per node.
-        let view = |u: usize| -> Option<(u32, Dyadic, bool)> {
-            match owner[u] {
-                Some(i) => {
-                    let active = status[u] != VorStatus::Blocked;
-                    Some((i, rel[u], active))
-                }
-                None => vor.tentative[u].map(|(off, i, _)| (i, off, true)),
-            }
-        };
-
-        // Stage b: candidate proposal over boundary edges (Def. 4.11).
-        let mut local: Vec<Vec<UpcastCandidate>> = vec![Vec::new(); n];
-        for (ei, e) in g.edges().iter().enumerate() {
-            let (u, w) = (e.u.idx(), e.v.idx());
-            let (Some((iu, offu, au)), Some((iw, offw, aw))) = (view(u), view(w)) else {
-                continue;
-            };
-            if iu == iw || (!au && !aw) {
-                continue;
-            }
-            let gap = offu + Dyadic::from_weight(e.w) + offw;
-            let mu = if au && aw { gap.half() } else { gap };
-            let (a, b) = if iu < iw { (iu, iw) } else { (iw, iu) };
-            local[u.min(w)].push(UpcastCandidate {
-                mu,
-                a,
-                b,
-                edge: EdgeId(ei as u32),
-            });
-        }
-        ledger.charge(format!("phase {phase}: boundary exchange"), 1);
-
-        // Stage c: filtered collection with phase-end detection (Cor 4.16).
-        let prior: Vec<u32> = (0..terms.len())
-            .map(|i| book.moats.find_const(i) as u32)
-            .collect();
-        let mut sim = book.clone();
-        let verdict = move |c: &UpcastCandidate| {
-            let (involved_inactive, new_active) = sim.apply(c.a as usize, c.b as usize);
-            if involved_inactive || !new_active {
-                UpcastRootVerdict::AcceptAndStop
-            } else {
-                UpcastRootVerdict::Accept
-            }
-        };
-        let up = filtered_upcast(
-            g,
-            &bfs.parent,
-            &bfs.children,
-            local,
-            &prior,
-            UpcastMode::PhaseDetect(Box::new(verdict)),
-            &congest,
-        )?;
-        ledger.record(
-            format!("phase {phase}: filtered merge collection"),
-            &up.metrics,
-        );
-        ledger.charge(
-            format!("phase {phase}: collection termination O(D)"),
-            bfs.height() as u64,
-        );
-        assert!(
-            up.stopped_early && !up.accepted.is_empty(),
-            "every phase ends with an activity-changing merge"
-        );
-        let mu_phase = up.accepted.last().expect("nonempty").mu;
-        debug_assert!(!mu_phase.is_negative(), "negative phase growth");
-
-        // Stage d: flood F_c^{(j)} and μ^{(j)} from the root.
-        let mut items: Vec<FloodItem> = up.accepted.iter().map(pack_candidate).collect();
-        items.push(pack_mu(mu_phase));
-        let mut initial = vec![Vec::new(); n];
-        initial[bfs.root.idx()] = items;
-        let fl = flood_items(g, initial, &congest)?;
-        ledger.record(format!("phase {phase}: broadcast F_c^(j)"), &fl.metrics);
-
-        // Local updates (radii, capture, parents) — act must be read at
-        // phase start, i.e. before merges are applied to `book`.
-        for u in 0..n {
-            match owner[u] {
-                Some(_) => {
-                    if matches!(status[u], VorStatus::Source { .. }) {
-                        rel[u] -= mu_phase;
-                    }
-                }
-                None => {
-                    if let Some((off, i, par)) = vor.tentative[u] {
-                        if off <= mu_phase {
-                            owner[u] = Some(i);
-                            rel[u] = off - mu_phase;
-                            parent_ptr[u] = Some(par);
-                        }
-                    }
-                }
-            }
-        }
-        // (Terminals are Voronoi sources, so their radii grew in the loop
-        // above: rad(v) += μ ⟺ rel(v) −= μ.)
-
-        // Apply merges to the canonical bookkeeping.
-        for c in &up.accepted {
-            book.apply(c.a as usize, c.b as usize);
-            merges.push(DetMerge {
-                v: terms[c.a as usize],
-                w: terms[c.b as usize],
-                mu: c.mu,
-                phase,
-                edge: c.edge,
-            });
-            accepted_all.push(*c);
-        }
-    }
-
-    // Final selection (E.1 Steps 4-6): minimal candidate subset in G_c,
-    // computed locally from global knowledge, then realized by marking
-    // region-tree paths.
-    let mut tb = GraphBuilder::new(terms.len());
-    for c in &accepted_all {
-        tb.add_edge(NodeId(c.a), NodeId(c.b), 1)
-            .expect("accepted merges form a forest");
-    }
-    let tg = tb.build_unchecked();
-    let mut ib = InstanceBuilder::new(&tg);
-    for comp in minimal.components() {
-        let mapped: Vec<NodeId> = comp.iter().map(|t| NodeId(tidx[t])).collect();
-        ib = ib.component(&mapped);
-    }
-    let inst_t = ib.build().expect("components are disjoint");
-    let all_tg: ForestSolution = (0..tg.m() as u32).map(EdgeId).collect();
-    let fmin = all_tg.prune_to_minimal(&tg, &inst_t);
-
-    let mut max_hops = 0u64;
-    let mut realize = |cands: &[usize]| -> ForestSolution {
-        let mut edges: Vec<EdgeId> = Vec::new();
-        for &ci in cands {
-            let c = &accepted_all[ci];
-            edges.push(c.edge);
-            let e = g.edge(c.edge);
-            for endpoint in [e.u, e.v] {
-                let mut cur = endpoint;
-                let mut hops = 0u64;
-                while let Some(p) = parent_ptr[cur.idx()] {
-                    edges.push(g.find_edge(cur, p).expect("parent is a neighbor"));
-                    cur = p;
-                    hops += 1;
-                    assert!(hops <= g.n() as u64, "parent pointer loop");
-                }
-                max_hops = max_hops.max(hops);
-            }
-        }
-        ForestSolution::from_edges(edges)
     };
-    let raw = realize(&(0..accepted_all.len()).collect::<Vec<_>>());
-    let forest = realize(&fmin.edges().iter().map(|e| e.idx()).collect::<Vec<_>>());
-    ledger.charge(
-        "final selection: token marking O(s + D)",
-        max_hops + bfs.height() as u64,
-    );
-
+    // `raw` realizes every accepted merge, so the token marking is
+    // charged for the longest path over all of them, not just `F_min`.
+    let (raw, raw_hops) = run.realize(g, 0..run.merges.len());
+    let (forest, hops) = run.realize(g, run.fmin.iter().copied());
+    run.charge_token_marking(raw_hops.max(hops));
     Ok(DetOutput {
         forest,
         raw,
-        rounds: ledger,
-        phases: phase,
-        merges,
+        rounds: run.ledger,
+        phases: run.phases,
+        merges: run.merges,
     })
 }
 

@@ -1,6 +1,16 @@
-//! The deterministic distributed moat-growing algorithm (Section 4.1).
+//! The deterministic distributed moat-growing algorithms (Section 4).
 //!
-//! Per merge phase `j` (Definition 4.3) the driver runs:
+//! One phase loop serves both: [`solve_deterministic`] (Algorithm 1,
+//! Theorem 4.17) and [`solve_growth`] (Algorithm 2, Corollary 4.20) are
+//! thin wrappers that differ only in the *phase-end rule* they pass it.
+//! Under the **exact** rule a phase ends at the first merge that changes
+//! activity (Corollary 4.16). Under the **rounded** rule a phase ends
+//! before any candidate at or beyond the checkpoint `μ̂`, and at any merge
+//! involving an inactive moat (Definition 4.19); activities change only
+//! at checkpoints, where they are recomputed and `μ̂` advances (see
+//! [`growth`]).
+//!
+//! Per merge phase `j` (Definition 4.3) the loop runs:
 //!
 //! 1. **Terminal decomposition** (Lemma 4.8): a multi-source Bellman–Ford
 //!    over the *uncovered* part of the graph, sourced at every node owned
@@ -13,7 +23,7 @@
 //! 3. **Filtered collection** (Corollary 4.16): the pipelined upcast of
 //!    [`crate::primitives::filtered_upcast`] streams candidates in
 //!    ascending `(μ, a, b, e)` order; the root replays moat bookkeeping
-//!    and stops at the first *activity-changing* merge — the phase end.
+//!    and stops where the phase-end rule says — the phase end.
 //! 4. **Dissemination**: `F_c^{(j)}` and the phase growth `μ^{(j)}` are
 //!    flooded; every node updates radii, capture status and region parent
 //!    pointers locally.

@@ -13,7 +13,7 @@ use steiner_forest::baselines::solve_collect_at_root;
 use steiner_forest::core::det::{solve_growth, GrowthConfig};
 use steiner_forest::graph::dyadic::Dyadic;
 use steiner_forest::prelude::*;
-use steiner_forest::steiner::{exact, moat, random_instance};
+use steiner_forest::steiner::{exact, moat, moat_rounded, random_instance};
 use steiner_forest::workloads::conformance::{
     assert_feasible_forest, assert_ledger_budget, assert_ratio_le, det_merge_pairs,
     moat_merge_pairs, randomized_log_factor,
@@ -102,6 +102,24 @@ fn deterministic_equals_centralized_merge_for_merge() {
             central.forest.weight(&g),
             "case {i}: weights differ"
         );
+
+        // Algorithm 2: the same phase loop under the checkpoint rule
+        // replays the centralized rounded run merge for merge.
+        let cfg = GrowthConfig::default();
+        let growth = solve_growth(&g, &inst, &cfg).unwrap();
+        let rounded = moat_rounded::grow_rounded(&g, &inst, cfg.eps);
+        let growth_pairs: Vec<(NodeId, NodeId)> =
+            growth.merges.iter().map(|&(v, w, _, _)| (v, w)).collect();
+        let rounded_pairs: Vec<(NodeId, NodeId)> =
+            rounded.merges.iter().map(|m| (m.v, m.w)).collect();
+        assert_eq!(
+            growth_pairs, rounded_pairs,
+            "case {i}: growth merge sequence differs from Algorithm 2"
+        );
+        assert_eq!(
+            growth.growth_phases, rounded.growth_phases,
+            "case {i}: growth phases differ from Algorithm 2"
+        );
     }
 }
 
@@ -117,7 +135,6 @@ fn growth_eps_sweep_shrinks_checkpoints() {
         &inst,
         &GrowthConfig {
             eps: Dyadic::new(1, 3), // 1/8
-            ..GrowthConfig::default()
         },
     )
     .unwrap();
@@ -126,7 +143,6 @@ fn growth_eps_sweep_shrinks_checkpoints() {
         &inst,
         &GrowthConfig {
             eps: Dyadic::from_int(2),
-            ..GrowthConfig::default()
         },
     )
     .unwrap();
@@ -152,6 +168,8 @@ fn ledgers_are_internally_consistent() {
     // Every simulated stage respects the CONGEST bandwidth budget.
     let b = CongestConfig::for_graph(&g).bandwidth_bits;
     assert_ledger_budget(&det.rounds, b, "det ledger");
+    let growth = solve_growth(&g, &inst, &GrowthConfig::default()).unwrap();
+    assert_ledger_budget(&growth.rounds, b, "growth ledger");
     // Phase structure appears in the ledger labels.
     let n_phases = det
         .rounds

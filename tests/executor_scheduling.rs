@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use dsf_bench::perf::gossip_nodes;
 use dsf_congest::{
-    run, run_reference, run_sharded, set_default_threads, CongestConfig, Message, NodeCtx, Outbox,
+    run, run_reference, run_sharded, with_threads, CongestConfig, Message, NodeCtx, Outbox,
     Protocol,
 };
 use dsf_core::det::{solve_deterministic, DetConfig};
@@ -123,35 +123,25 @@ fn sharded_speedup_at_least_1_5x_on_dense_gossip_50k() {
     panic!("sharded speedup stayed below 1.5x across all attempts: {ratios:?}");
 }
 
-/// Restores the process-wide thread default even if the test panics.
-struct ThreadGuard(usize);
-
-impl Drop for ThreadGuard {
-    fn drop(&mut self) {
-        set_default_threads(self.0);
-    }
-}
-
 /// A whole solver run — forest, merge log, and the full round *ledger* —
 /// must be bit-identical under any configured thread count: every stage
 /// of `solve_deterministic` funnels through `dsf_congest::run`, which
 /// dispatches to the sharded executor, and nothing downstream may notice.
-/// (Safe to flip the global mid-suite precisely *because* the outcome is
-/// thread-count-invariant.)
+/// The thread count is pinned with the scoped, thread-local
+/// `with_threads`, so sibling tests in this binary are unaffected.
 #[test]
 fn solver_ledger_is_thread_count_invariant() {
-    let guard = ThreadGuard(dsf_congest::default_threads());
     let g = generators::gnp_connected(48, 0.12, 9, 7);
     let inst = random_instance(&g, 3, 2, 11);
     let mut outputs = Vec::new();
     for threads in [1usize, 4] {
-        set_default_threads(threads);
         outputs.push((
             threads,
-            solve_deterministic(&g, &inst, &DetConfig::default()).unwrap(),
+            with_threads(threads, || {
+                solve_deterministic(&g, &inst, &DetConfig::default()).unwrap()
+            }),
         ));
     }
-    drop(guard);
     let (_, base) = &outputs[0];
     for (threads, out) in &outputs[1..] {
         assert_eq!(out.forest, base.forest, "threads {threads}: forest differs");
