@@ -50,8 +50,8 @@
 //! determinism, the certified ratio bounds, the CONGEST bandwidth budget,
 //! or the beat-the-det condition.
 //!
-//! **Service mode** (`--service`) benchmarks the batched solver service
-//! (`dsf-service`) over the workloads corpus at batch sizes {1, 16, 256}
+//! **Service mode** (`--service`) benchmarks server batches
+//! (`StreamingServer::run_batch`) over the workloads corpus at batch sizes {1, 16, 256}
 //! and worker counts {1, 4}, writing `BENCH_service.json` (throughput in
 //! solves/sec). Two guarantees are asserted in-harness before any record
 //! is emitted: batched results are bit-identical to one-at-a-time solves,
@@ -67,7 +67,7 @@
 //! rejected).
 //!
 //! **Churn mode** (`--churn`) replays the seeded arrival/departure/
-//! reweight traces (`dsf_workloads::churn`) through the solver service's
+//! reweight traces (`dsf_workloads::churn`) through the solver session's
 //! delta API and writes `BENCH_churn.json` (repair-vs-scratch speedup,
 //! moves per delta, deterministic anchor rounds/messages). In-harness
 //! gates: every repaired forest passes the churn-differential oracle

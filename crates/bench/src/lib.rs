@@ -9,7 +9,7 @@
 //! every tier in the one [`record`] envelope (`dsf-bench/v5`): [`perf`]
 //! (executor and solver metrics, plus the `--scale` / `--scale-xl`
 //! sharding tiers), [`conformance`] (per-family ratio distribution),
-//! [`service`] (batched-service throughput), [`server`] (streaming-server
+//! [`service`] (server-batch throughput), [`server`] (streaming-server
 //! latency under open-loop load), and [`churn`] (delta-repair speedup
 //! over from-scratch solves on churn traces).
 //!

@@ -1,7 +1,8 @@
-//! The `bench_runner --service` mode: throughput of the batched solver
-//! service (`dsf-service`) over the workloads corpus, with the
-//! batching-determinism and zero-steady-state-allocation guarantees
-//! asserted in-harness, emitted as `BENCH_service.json`.
+//! The `bench_runner --service` mode: throughput of server batches
+//! (`dsf_server::StreamingServer::run_batch` over pooled `dsf-service`
+//! sessions) on the workloads corpus, with the batching-determinism and
+//! zero-steady-state-allocation guarantees asserted in-harness, emitted
+//! as `BENCH_service.json`.
 //!
 //! Two workload tiers:
 //!
@@ -12,8 +13,8 @@
 //!   ratio — to a one-at-a-time solve on a fresh session, and (b) the
 //!   measured batch ran on warm sessions with **zero** arena builds
 //!   (steady-state session reuse allocates nothing).
-//! * **sweep** — the entire corpus tier streamed through the service as
-//!   one deterministic batch per worker count, certificates attached, and
+//! * **sweep** — the entire corpus tier run on the server as one
+//!   deterministic batch per worker count, certificates attached, and
 //!   the worker counts asserted bit-identical to each other.
 //!
 //! Like the `--scale` tier there is no checked-in baseline (`--check` is
@@ -24,17 +25,15 @@
 //! # Records (tier `service`)
 //!
 //! `det`: `jobs`, `batch`, `workers`, `rounds`, `messages`,
-//! `arena_reuses`, and `arena_builds` (the queue's round-robin assignment
-//! is static, so all are schedule-invariant; `arena_builds` is 0 on every
-//! record). `wall`: `wall_ns` of the measured batch and
-//! `solves_per_sec_milli`.
+//! `arena_reuses`, and `arena_builds` (a batch pins its small jobs
+//! round-robin to the workers, so all are schedule-invariant;
+//! `arena_builds` is 0 on every record). `wall`: `wall_ns` of the
+//! measured batch and `solves_per_sec_milli`.
 
 use std::sync::Arc;
 
-use dsf_service::{
-    JobOutcome, ServiceConfig, ServiceReport, SolveRequest, SolverKind, SolverService,
-    SolverSession,
-};
+use dsf_server::{BatchReport, ServerConfig, StreamingServer};
+use dsf_service::{JobOutcome, SolveRequest, SolverKind, SolverSession};
 use dsf_workloads::corpus::{stream, CorpusEntry, Tier};
 
 use crate::record::{Record, Report};
@@ -79,7 +78,7 @@ fn sweep_requests(tier: Tier) -> Vec<SolveRequest> {
 }
 
 /// Asserts every batched job is bit-identical to its one-at-a-time twin.
-fn assert_batched_matches(name: &str, report: &ServiceReport, baseline: &[JobOutcome]) {
+fn assert_batched_matches(name: &str, report: &BatchReport, baseline: &[JobOutcome]) {
     assert_eq!(
         report.jobs.len(),
         baseline.len(),
@@ -99,7 +98,7 @@ fn assert_batched_matches(name: &str, report: &ServiceReport, baseline: &[JobOut
     );
 }
 
-/// Runs a warmup batch plus the measured batch on a fresh service and
+/// Runs a warmup batch plus the measured batch on a fresh server and
 /// returns its record, asserting determinism vs `baseline` and zero
 /// arena builds on the warm repetition.
 fn service_record(
@@ -109,20 +108,16 @@ fn service_record(
     batch: usize,
     baseline: &[JobOutcome],
 ) -> Record {
-    let mut service = SolverService::new(ServiceConfig {
+    let server = StreamingServer::new(ServerConfig {
         workers,
         ..Default::default()
     });
-    let warmup = service
-        .run_batch(requests)
-        .expect("service batch runs clean");
+    let warmup = server.run_batch(requests).expect("batch runs clean");
     assert_batched_matches(name, &warmup, baseline);
-    let warm_stats = service.pool_stats();
-    let measured = service
-        .run_batch(requests)
-        .expect("service batch runs clean");
+    let warm_stats = server.pool_stats();
+    let measured = server.run_batch(requests).expect("batch runs clean");
     assert_batched_matches(name, &measured, baseline);
-    let stats = service.pool_stats();
+    let stats = server.pool_stats();
     let builds = stats.builds - warm_stats.builds;
     assert_eq!(
         builds, 0,

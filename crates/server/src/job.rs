@@ -56,6 +56,10 @@ pub enum JobStatus {
     Completed(Box<JobOutcome>),
     /// The solver raised a model violation.
     Failed(SimError),
+    /// The solver panicked; carries the panic message. The panic is
+    /// contained at the job boundary: the worker replaces its session
+    /// and serves the next job.
+    Panicked(String),
     /// [`JobHandle::cancel`] was observed before dispatch.
     Cancelled,
     /// The job was still queued when its [`JobOptions::deadline`] passed.

@@ -1,15 +1,18 @@
-//! The streaming reactor: bounded admission, two dispatch lanes, and the
-//! result stream.
+//! The streaming reactor: bounded admission, two dispatch lanes, the
+//! result stream, and batches scheduled on the same lanes.
 
+use std::any::Any;
 use std::collections::BinaryHeap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use dsf_congest::default_threads;
-use dsf_service::{ServiceConfig, SolveRequest, SolverSession};
+use dsf_congest::{default_threads, PoolStats, SimError};
+use dsf_service::{SolveRequest, SolverSession};
 
 use crate::job::{JobHandle, JobOptions, JobResult, JobShared, JobStatus};
+use crate::report::BatchReport;
 
 /// What [`StreamingServer::submit`] does when the admission queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,20 +39,19 @@ pub struct ServerConfig {
     /// What `submit` does when the queue is full.
     pub admission: AdmissionPolicy,
     /// Jobs whose graph has at least this many nodes take the large lane
-    /// (same split as [`ServiceConfig::large_node_threshold`]).
+    /// ([`ServerConfig::is_large`]).
     pub large_node_threshold: usize,
 }
 
 impl Default for ServerConfig {
     /// `DSF_THREADS` workers, a 1024-deep queue, blocking admission, and
-    /// the service-layer default large-job threshold.
+    /// a 50 000-node large-job threshold.
     fn default() -> Self {
-        let svc = ServiceConfig::default();
         ServerConfig {
             workers: default_threads(),
             queue_capacity: 1024,
             admission: AdmissionPolicy::Block,
-            large_node_threshold: svc.large_node_threshold,
+            large_node_threshold: 50_000,
         }
     }
 }
@@ -64,14 +66,13 @@ impl ServerConfig {
         self
     }
 
-    /// The service-layer view of this config; job classification goes
-    /// through [`ServiceConfig::is_large`] so the server and
-    /// [`dsf_service::SolverService`] can never disagree on a job's lane.
-    pub fn service_config(&self) -> ServiceConfig {
-        ServiceConfig {
-            workers: self.workers,
-            large_node_threshold: self.large_node_threshold,
-        }
+    /// Whether a graph with `nodes` nodes takes the large lane (sharded
+    /// whole-pool execution) rather than the small lane: large means **at
+    /// least** [`ServerConfig::large_node_threshold`] nodes, so a graph
+    /// with exactly threshold nodes is large. Streamed and batched jobs
+    /// are both classified here alone.
+    pub fn is_large(&self, nodes: usize) -> bool {
+        nodes >= self.large_node_threshold
     }
 }
 
@@ -101,6 +102,33 @@ impl std::fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
+/// Why [`StreamingServer::run_batch`] returned no report. `index` is
+/// the lowest failing request index, whatever the scheduling did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BatchError {
+    /// The solver of request `index` raised the model violation `error`.
+    Failed { index: usize, error: SimError },
+    /// The solver of request `index` panicked with `message`
+    /// ([`JobStatus::Panicked`]).
+    Panicked { index: usize, message: String },
+    /// [`StreamingServer::shutdown`] was called; no job was admitted.
+    ShuttingDown,
+}
+
+impl std::fmt::Display for BatchError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BatchError::Failed { index, error } => write!(f, "batch job {index} failed: {error}"),
+            BatchError::Panicked { index, message } => {
+                write!(f, "batch job {index} panicked: {message}")
+            }
+            BatchError::ShuttingDown => write!(f, "server is shutting down"),
+        }
+    }
+}
+
+impl std::error::Error for BatchError {}
+
 /// One admitted, not-yet-dispatched job.
 #[derive(Debug)]
 struct QueuedJob {
@@ -112,6 +140,9 @@ struct QueuedJob {
     submitted: Instant,
     req: SolveRequest,
     shared: Arc<JobShared>,
+    /// Whether the result also goes on the server-wide stream (batch
+    /// jobs are returned by [`StreamingServer::run_batch`] instead).
+    streamed: bool,
 }
 
 // Heap order: highest priority first, then lowest seq (FIFO). Only
@@ -136,17 +167,35 @@ impl Ord for QueuedJob {
 }
 
 /// The two dispatch lanes plus admission bookkeeping, under one lock.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct State {
+    /// Streamed small jobs, pulled by whichever small worker is free.
     small: BinaryHeap<QueuedJob>,
+    /// Batched small jobs, one heap per small worker: the `j`-th small
+    /// job of a batch waits for worker `j mod workers`, so a recurring
+    /// batch meets warm arenas.
+    pinned: Vec<BinaryHeap<QueuedJob>>,
     large: BinaryHeap<QueuedJob>,
+    /// Pool counters each worker publishes after every job, indexed by
+    /// [`Lane::slot`].
+    pools: Vec<PoolStats>,
     closed: bool,
     paused: bool,
 }
 
 impl State {
     fn queued(&self) -> usize {
-        self.small.len() + self.large.len()
+        self.small.len() + self.large.len() + self.pinned.iter().map(BinaryHeap::len).sum::<usize>()
+    }
+
+    /// The lane's best queued job. A small worker takes the higher of its
+    /// pinned top and the shared top (priority, then FIFO).
+    fn pop(&mut self, lane: Lane) -> Option<QueuedJob> {
+        match lane {
+            Lane::Small(w) if self.pinned[w].peek() > self.small.peek() => self.pinned[w].pop(),
+            Lane::Small(_) => self.small.pop(),
+            Lane::Large => self.large.pop(),
+        }
     }
 }
 
@@ -169,45 +218,50 @@ impl Shared {
     }
 }
 
-/// Identifies a dispatch lane to the shared worker loop.
+/// Identifies a worker's dispatch lane to the shared worker loop.
 #[derive(Clone, Copy)]
 enum Lane {
-    Small,
+    /// Small-lane worker `w`.
+    Small(usize),
     Large,
 }
 
-/// A long-lived streaming front-end over the solver stack.
+impl Lane {
+    /// The worker's index into [`State::pools`].
+    fn slot(self) -> usize {
+        match self {
+            Lane::Large => 0,
+            Lane::Small(w) => w + 1,
+        }
+    }
+}
+
+fn plus(a: PoolStats, b: PoolStats) -> PoolStats {
+    PoolStats {
+        reuses: a.reuses + b.reuses,
+        builds: a.builds + b.builds,
+    }
+}
+
+/// The solve scheduler: a long-lived front-end over the solver stack
+/// for streamed jobs and whole batches alike.
 ///
-/// Where [`dsf_service::SolverService`] is batch-synchronous (hand over a
-/// `Vec`, block until the last job drains), a `StreamingServer` accepts a
-/// continuous stream of [`SolveRequest`]s:
-///
-/// * [`StreamingServer::submit`] admits one job into a **bounded queue**
-///   ([`ServerConfig::queue_capacity`]); a full queue either blocks the
-///   producer or rejects with [`ServerError::Saturated`] per the
-///   [`AdmissionPolicy`];
-/// * jobs carry per-request **priorities** and optional **deadlines**
-///   ([`JobOptions`]); an expired job is never dispatched and is reported
-///   as [`JobStatus::DeadlineExpired`], and [`JobHandle::cancel`] drops a
-///   still-queued job as [`JobStatus::Cancelled`] — terminal results are
-///   always reported, never silently dropped;
-/// * results stream out as jobs finish, through both the per-job
-///   [`JobHandle`] and the server-wide stream
-///   ([`StreamingServer::next_result`] and friends);
-/// * **small and large jobs coexist**: small jobs (below
-///   [`ServerConfig::large_node_threshold`] nodes) run on `workers`
-///   session-warm worker threads while jobs at or above the threshold
-///   drain one at a time on a dedicated large lane, each with the whole
-///   `workers`-thread sharded executor — the same split
-///   [`dsf_service::SolverService`] makes, via the same
-///   [`ServiceConfig::is_large`] classifier, except the small lanes keep
-///   flowing while a large job runs.
+/// [`StreamingServer::submit`] admits one job into a **bounded queue**
+/// ([`AdmissionPolicy`]) with an optional priority and deadline
+/// ([`JobOptions`]); its result arrives on the [`JobHandle`] and on the
+/// server-wide stream ([`StreamingServer::next_result`]).
+/// [`StreamingServer::run_batch`] runs a slice of requests on the same
+/// lanes. Small jobs run on `workers` session-warm threads, while a job
+/// at or above [`ServerConfig::large_node_threshold`] nodes drains on
+/// the large lane with the whole `workers`-thread sharded executor, so
+/// the small lane keeps flowing. Every admitted job is reported exactly
+/// once, a panicking one as [`JobStatus::Panicked`].
 ///
 /// Scheduling is invisible in the results: every completed job's
 /// deterministic fields (forest, full round ledger, weight, ratio) are
 /// bit-identical to a direct `solve_*` call on a fresh session, whatever
 /// the queue did — `bench_runner --server` asserts exactly this under
-/// open-loop load.
+/// open-loop load, and `bench_runner --service` for batches.
 ///
 /// # Example
 ///
@@ -223,25 +277,27 @@ enum Lane {
 ///     .component(&[NodeId(0), NodeId(13)])
 ///     .build()
 ///     .unwrap();
+/// let requests: Vec<_> = (0..4)
+///     .map(|seed| SolveRequest::new(
+///         format!("job-{seed}"), g.clone(), inst.clone(), SolverKind::Randomized, seed))
+///     .collect();
 ///
 /// let mut server = StreamingServer::new(ServerConfig { workers: 2, ..Default::default() });
-/// let handles: Vec<_> = (0..4)
-///     .map(|seed| {
-///         let req = SolveRequest::new(
-///             format!("job-{seed}"), g.clone(), inst.clone(), SolverKind::Randomized, seed);
-///         server.submit(req).unwrap()
-///     })
-///     .collect();
+/// // Streamed: one handle per job, results as they finish.
+/// let handles: Vec<_> = requests.iter().map(|r| server.submit(r.clone()).unwrap()).collect();
 /// for h in &handles {
 ///     let result = h.wait();
 ///     assert!(inst.is_feasible(&g, &result.status.outcome().unwrap().forest));
 /// }
+/// // Batched: outcomes in request order, whatever the scheduling did.
+/// let report = server.run_batch(&requests).unwrap();
+/// assert!(report.violations.is_empty());
+/// assert_eq!(report.jobs[2].id, "job-2");
 /// server.shutdown();
 /// ```
 #[derive(Debug)]
 pub struct StreamingServer {
     cfg: ServerConfig,
-    svc: ServiceConfig,
     shared: Arc<Shared>,
     /// The server-wide result stream (workers hold the senders).
     results: Mutex<mpsc::Receiver<JobResult>>,
@@ -255,9 +311,15 @@ impl StreamingServer {
     /// fields are clamped ([`ServerConfig::normalized`]).
     pub fn new(cfg: ServerConfig) -> Self {
         let cfg = cfg.normalized();
-        let svc = cfg.service_config();
         let shared = Arc::new(Shared {
-            state: Mutex::new(State::default()),
+            state: Mutex::new(State {
+                small: BinaryHeap::new(),
+                pinned: (0..cfg.workers).map(|_| BinaryHeap::new()).collect(),
+                large: BinaryHeap::new(),
+                pools: vec![PoolStats::default(); cfg.workers + 1],
+                closed: false,
+                paused: false,
+            }),
             small_ready: Condvar::new(),
             large_ready: Condvar::new(),
             space: Condvar::new(),
@@ -271,7 +333,7 @@ impl StreamingServer {
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("dsf-server-small-{w}"))
-                    .spawn(move || worker_loop(&shared, Lane::Small, 1, &tx))
+                    .spawn(move || worker_loop(&shared, Lane::Small(w), 1, &tx))
                     .expect("spawn small-lane worker"),
             );
         }
@@ -287,7 +349,6 @@ impl StreamingServer {
         }
         StreamingServer {
             cfg,
-            svc,
             shared,
             results: Mutex::new(rx),
             threads,
@@ -316,6 +377,20 @@ impl StreamingServer {
         self.shared.lock().queued()
     }
 
+    /// Arena-traffic counters summed over every worker's session (small
+    /// lane and large lane), as of each worker's last finished job. In
+    /// steady state (recurring graphs) `builds` stays flat while `reuses`
+    /// grows — the zero-per-solve-allocation property the service bench
+    /// asserts. Counters of a session replaced after a panic stay in the
+    /// sum, so it never decreases.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.shared
+            .lock()
+            .pools
+            .iter()
+            .fold(PoolStats::default(), |acc, &p| plus(acc, p))
+    }
+
     /// Submits a job with default options (priority 0, no deadline).
     ///
     /// # Errors
@@ -330,7 +405,7 @@ impl StreamingServer {
     ///
     /// Admission is the only place backpressure applies: once admitted, a
     /// job is guaranteed a terminal [`JobResult`] (completed, failed,
-    /// cancelled, or deadline-expired).
+    /// panicked, cancelled, or deadline-expired).
     ///
     /// # Errors
     ///
@@ -342,6 +417,84 @@ impl StreamingServer {
         req: SolveRequest,
         opts: JobOptions,
     ) -> Result<JobHandle, ServerError> {
+        self.admit(req, opts, None)
+    }
+
+    /// Runs a batch of requests on the server's lanes and reports
+    /// per-job outcomes in request order.
+    ///
+    /// Every request is admitted — waiting for queue space whatever the
+    /// [`AdmissionPolicy`], so a batch is never half-rejected — and then
+    /// every job is waited for. Small jobs are pinned round-robin: the
+    /// `j`-th small job goes to small worker `j mod workers`, so a
+    /// recurring batch meets the same warm sessions and builds no arenas
+    /// ([`StreamingServer::pool_stats`]). Large jobs take the large lane.
+    /// Streamed jobs keep flowing beside the batch, and batch results do
+    /// not go on the server-wide result stream.
+    ///
+    /// Scheduling is invisible in the results: every outcome is
+    /// bit-identical to solving its request alone on a fresh session.
+    /// Each job's ledger is re-checked against the conformance oracle's
+    /// `B`-bit budget ([`BatchReport::violations`]).
+    ///
+    /// # Errors
+    ///
+    /// If any job fails or panics, the error of the lowest request index
+    /// is returned (deterministic under any scheduling), after every job
+    /// has finished; [`BatchError::ShuttingDown`] after shutdown.
+    pub fn run_batch(&self, requests: &[SolveRequest]) -> Result<BatchReport, BatchError> {
+        let t0 = Instant::now();
+        let mut small = 0;
+        let handles = requests
+            .iter()
+            .map(|req| {
+                let worker = small % self.cfg.workers;
+                small += usize::from(!self.cfg.is_large(req.graph.n()));
+                self.admit(req.clone(), JobOptions::default(), Some(worker))
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|_| BatchError::ShuttingDown)?;
+        let statuses: Vec<JobStatus> = handles.iter().map(|h| h.wait().status).collect();
+
+        let mut jobs = Vec::with_capacity(requests.len());
+        for (index, status) in statuses.into_iter().enumerate() {
+            match status {
+                JobStatus::Completed(out) => jobs.push(*out),
+                JobStatus::Failed(error) => return Err(BatchError::Failed { index, error }),
+                JobStatus::Panicked(message) => {
+                    return Err(BatchError::Panicked { index, message })
+                }
+                JobStatus::Cancelled | JobStatus::DeadlineExpired => {
+                    unreachable!("batch jobs have no deadline and no caller-side handle")
+                }
+            }
+        }
+        let violations = jobs
+            .iter()
+            .zip(requests)
+            .flat_map(|(out, req)| out.budget_violations(&req.graph))
+            .collect();
+        Ok(BatchReport {
+            workers: self.cfg.workers,
+            jobs,
+            wall_ns: t0.elapsed().as_nanos() as u64,
+            violations,
+        })
+    }
+
+    /// Admits one job. `batch_worker: Some(w)` marks a batch job: it waits
+    /// for queue space whatever the admission policy, stays off the
+    /// result stream, and if small is pinned to small worker `w`.
+    fn admit(
+        &self,
+        req: SolveRequest,
+        opts: JobOptions,
+        batch_worker: Option<usize>,
+    ) -> Result<JobHandle, ServerError> {
+        let admission = match batch_worker {
+            Some(_) => AdmissionPolicy::Block,
+            None => self.cfg.admission,
+        };
         let mut st = self.shared.lock();
         loop {
             if st.closed {
@@ -350,7 +503,7 @@ impl StreamingServer {
             if st.queued() < self.shared.capacity {
                 break;
             }
-            match self.cfg.admission {
+            match admission {
                 AdmissionPolicy::Reject => {
                     return Err(ServerError::Saturated {
                         capacity: self.shared.capacity,
@@ -368,7 +521,7 @@ impl StreamingServer {
             id: req.id.clone(),
             shared: shared.clone(),
         };
-        let large = self.svc.is_large(req.graph.n());
+        let large = self.cfg.is_large(req.graph.n());
         let job = QueuedJob {
             job_id,
             seq: job_id,
@@ -377,13 +530,22 @@ impl StreamingServer {
             submitted: Instant::now(),
             req,
             shared,
+            streamed: batch_worker.is_none(),
         };
-        if large {
-            st.large.push(job);
-            self.shared.large_ready.notify_one();
-        } else {
-            st.small.push(job);
-            self.shared.small_ready.notify_one();
+        match batch_worker {
+            _ if large => {
+                st.large.push(job);
+                self.shared.large_ready.notify_one();
+            }
+            Some(w) => {
+                st.pinned[w].push(job);
+                // Only worker `w` may take it; wake them all to reach it.
+                self.shared.small_ready.notify_all();
+            }
+            None => {
+                st.small.push(job);
+                self.shared.small_ready.notify_one();
+            }
         }
         Ok(handle)
     }
@@ -441,9 +603,8 @@ impl StreamingServer {
         self.shared.large_ready.notify_all();
         self.shared.space.notify_all();
         for t in self.threads.drain(..) {
-            if let Err(payload) = t.join() {
-                std::panic::resume_unwind(payload);
-            }
+            t.join()
+                .expect("workers exit only by draining (job panics stay in `resolve`)");
         }
     }
 }
@@ -454,21 +615,19 @@ impl Drop for StreamingServer {
     }
 }
 
-/// One dispatch lane's worker: pop the best queued job, resolve it, and
-/// publish the result; exit when the server is closed and the lane is
-/// drained.
+/// One lane worker: pop the best queued job, resolve it, publish the
+/// session's pool counters, then the result; exit when the server is
+/// closed and the lane is drained.
 fn worker_loop(shared: &Shared, lane: Lane, threads: usize, tx: &mpsc::Sender<JobResult>) {
     let mut session = SolverSession::new();
+    // Counters of sessions replaced after a panic.
+    let mut retired = PoolStats::default();
     loop {
         let job = {
             let mut st = shared.lock();
             loop {
                 if !st.paused {
-                    let popped = match lane {
-                        Lane::Small => st.small.pop(),
-                        Lane::Large => st.large.pop(),
-                    };
-                    if let Some(job) = popped {
+                    if let Some(job) = st.pop(lane) {
                         break Some(job);
                     }
                     if st.closed {
@@ -476,7 +635,7 @@ fn worker_loop(shared: &Shared, lane: Lane, threads: usize, tx: &mpsc::Sender<Jo
                     }
                 }
                 let cv = match lane {
-                    Lane::Small => &shared.small_ready,
+                    Lane::Small(_) => &shared.small_ready,
                     Lane::Large => &shared.large_ready,
                 };
                 st = cv.wait(st).expect("server state lock");
@@ -485,18 +644,30 @@ fn worker_loop(shared: &Shared, lane: Lane, threads: usize, tx: &mpsc::Sender<Jo
         let Some(job) = job else { return };
         // One admission slot freed; wake one blocked submitter.
         shared.space.notify_one();
-        resolve(&mut session, job, threads, tx);
+        let result = resolve(&mut session, &mut retired, &job, threads);
+        shared.lock().pools[lane.slot()] = plus(retired, session.pool_stats());
+        job.shared.finish(result.clone());
+        if job.streamed {
+            // The receiver lives in the server façade; if the façade is
+            // mid-drop the handle above already carries the result.
+            let _ = tx.send(result);
+        }
     }
 }
 
 /// Resolves one popped job: cancellation and deadline are checked *before*
 /// dispatch, so an unwanted job never burns a solve.
+///
+/// This is the job boundary: a panicking solve is caught here and
+/// reported as [`JobStatus::Panicked`], and the session — whose pooled
+/// arenas may be mid-write — is replaced by a fresh one (its counters
+/// move to `retired`).
 fn resolve(
     session: &mut SolverSession,
-    job: QueuedJob,
+    retired: &mut PoolStats,
+    job: &QueuedJob,
     threads: usize,
-    tx: &mpsc::Sender<JobResult>,
-) {
+) -> JobResult {
     let dispatched = Instant::now();
     let queued_ns = dispatched.duration_since(job.submitted).as_nanos() as u64;
     let status = if job.shared.cancel.load(Ordering::Acquire) {
@@ -504,21 +675,33 @@ fn resolve(
     } else if job.deadline.is_some_and(|d| dispatched >= d) {
         JobStatus::DeadlineExpired
     } else {
-        match session.solve_with_threads(&job.req, threads) {
-            Ok(out) => JobStatus::Completed(Box::new(out)),
-            Err(e) => JobStatus::Failed(e),
+        match catch_unwind(AssertUnwindSafe(|| {
+            session.solve_with_threads(&job.req, threads)
+        })) {
+            Ok(Ok(out)) => JobStatus::Completed(Box::new(out)),
+            Ok(Err(e)) => JobStatus::Failed(e),
+            Err(payload) => {
+                *retired = plus(*retired, std::mem::take(session).pool_stats());
+                JobStatus::Panicked(panic_message(payload.as_ref()))
+            }
         }
     };
-    let result = JobResult {
+    JobResult {
         job_id: job.job_id,
         id: job.req.id.clone(),
         priority: job.priority,
         status,
         queued_ns,
         total_ns: job.submitted.elapsed().as_nanos() as u64,
-    };
-    job.shared.finish(result.clone());
-    // The receiver lives in the server façade; if the façade is mid-drop
-    // the handle above already carries the result.
-    let _ = tx.send(result);
+    }
+}
+
+/// The message of a panic payload (`panic!` carries a `&str` or a
+/// `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "panic with a non-string payload".to_owned())
 }

@@ -5,9 +5,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dsf_graph::{generators, NodeId, WeightedGraph};
+use dsf_graph::{generators, GraphBuilder, NodeId, WeightedGraph};
 use dsf_server::{
-    AdmissionPolicy, JobOptions, JobStatus, ServerConfig, ServerError, StreamingServer,
+    AdmissionPolicy, BatchError, JobOptions, JobStatus, ServerConfig, ServerError, StreamingServer,
 };
 use dsf_service::{SolveRequest, SolverKind, SolverSession};
 use dsf_steiner::{Instance, InstanceBuilder};
@@ -200,7 +200,7 @@ fn graph_with_exactly_threshold_nodes_takes_the_large_lane() {
         large_node_threshold: g.n(),
         ..Default::default()
     });
-    assert!(server.config().service_config().is_large(g.n()));
+    assert!(server.config().is_large(g.n()));
     let req = request("boundary", &g, &inst, 5);
     let handle = server.submit(req.clone()).expect("admitted");
     let out = handle.wait();
@@ -293,6 +293,12 @@ fn submitting_after_shutdown_errors_and_shutdown_is_idempotent() {
         server.submit(request("post", &g, &inst, 1)).unwrap_err(),
         ServerError::ShuttingDown
     );
+    assert_eq!(
+        server
+            .run_batch(&[request("post-batch", &g, &inst, 2)])
+            .unwrap_err(),
+        BatchError::ShuttingDown
+    );
     server.shutdown(); // second call is a no-op
 }
 
@@ -315,4 +321,49 @@ fn zero_workers_and_zero_capacity_are_clamped_to_one() {
         .expect("drains")
         .status
         .is_completed());
+}
+
+#[test]
+fn panicking_job_is_reported_and_the_lane_serves_the_next_job() {
+    // Path sums at u64::MAX/2 overflow the collect baseline's Dijkstra,
+    // which panics on the "unreachable" terminal.
+    let huge = u64::MAX / 2;
+    let mut b = GraphBuilder::new(3);
+    b.add_edge(NodeId(0), NodeId(1), huge).unwrap();
+    b.add_edge(NodeId(1), NodeId(2), huge).unwrap();
+    let bad_g = Arc::new(b.build().unwrap());
+    let bad_inst = InstanceBuilder::new(&bad_g)
+        .component(&[NodeId(0), NodeId(2)])
+        .build()
+        .unwrap();
+    let bad = SolveRequest::new("bad", bad_g, bad_inst, SolverKind::CollectAtRoot, 0);
+    let (g, inst) = small_case();
+    let good = request("good", &g, &inst, 3);
+
+    // One worker: the valid job queues behind the panicking one on the
+    // same lane, so it completes only if the lane survives.
+    let mut server = StreamingServer::new(ServerConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let bad_handle = server.submit(bad).expect("admitted");
+    let good_handle = server.submit(good.clone()).expect("admitted");
+    let bad_result = bad_handle
+        .wait_timeout(Duration::from_secs(60))
+        .expect("the panicking job is reported");
+    assert!(
+        matches!(&bad_result.status, JobStatus::Panicked(msg) if msg.contains("unreachable")),
+        "{:?}",
+        bad_result.status
+    );
+    let good_result = good_handle
+        .wait_timeout(Duration::from_secs(60))
+        .expect("the lane serves the next job");
+    let reference = SolverSession::new().solve(&good).expect("clean solve");
+    assert!(good_result
+        .status
+        .outcome()
+        .expect("completed")
+        .deterministic_eq(&reference));
+    server.shutdown();
 }

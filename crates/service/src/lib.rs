@@ -1,5 +1,5 @@
-//! Batched solver service: pooled executor sessions and a deterministic
-//! job queue over the distributed Steiner forest stack.
+//! Pooled solver sessions over the distributed Steiner forest stack:
+//! the request vocabulary, one reusable session, and its delta API.
 //!
 //! The algorithm crates expose one-shot entry points (`solve_*`), and
 //! every such call used to pay full setup: fresh CSR slot arenas for each
@@ -8,14 +8,16 @@
 //! line assume — repeated solves over related instances — amortize all of
 //! that. This crate is the amortization layer:
 //!
+//! * [`SolveRequest`] / [`SolverKind`] — one job: which solver to run on
+//!   which instance, with which seed and optional certificate.
 //! * [`SolverSession`] — a reusable session holding a
 //!   [`dsf_congest::BufferPool`]: every stage of every solve checks its
 //!   slot arena out of the pool, so steady-state solves over recurring
 //!   graphs perform **zero** per-solve arena allocation (observable via
 //!   [`SolverSession::pool_stats`]).
-//! * [`SolverService`] — a batched front-end owning one session per
-//!   worker: small jobs are scheduled round-robin across the workers,
-//!   large jobs get the whole pool as sharded-executor threads.
+//! * [`JobOutcome`] — one solve's forest, full round ledger, weight and
+//!   ratio, with the conformance oracle's ledger invariants re-checkable
+//!   per job ([`JobOutcome::budget_violations`]).
 //! * The **delta API** ([`SolverSession::install_graph`],
 //!   [`SolverSession::add_demand`], [`SolverSession::remove_demand`],
 //!   [`SolverSession::reweight_edge`]) — incremental re-solve on a warm
@@ -23,26 +25,26 @@
 //!   graph fingerprint is *repaired* after each demand/weight change
 //!   instead of re-solved, and finished to a deterministic local
 //!   optimum (see `delta`'s module docs for the quality envelope).
-//! * [`ServiceReport`] — per-batch results (per-job ratio, rounds,
-//!   messages, wall-clock) with the conformance oracle's ledger
-//!   invariants re-checked on every job.
+//!
+//! Scheduling many requests across sessions — streamed or batched — is
+//! the `dsf-server` crate's job; it keeps one session per worker.
 //!
 //! # Determinism contract
 //!
-//! Batching is **invisible in the results**: every [`JobOutcome`]'s
+//! A session is invisible in the results: every [`JobOutcome`]'s
 //! deterministic fields (forest, full round ledger, weight, ratio) are
 //! bit-identical to solving the same request alone on a fresh session,
-//! at any worker count. This follows from the executor's thread-count
-//! invariance ([`dsf_congest::run_sharded`]) plus pool transparency
-//! (arenas are cleared before reuse), and is continuously asserted by
-//! `bench_runner --service` and the service conformance tier.
+//! at any executor thread count. This follows from the executor's
+//! thread-count invariance ([`dsf_congest::run_sharded`]) plus pool
+//! transparency (arenas are cleared before reuse), and is continuously
+//! asserted by `bench_runner --service` and the conformance tier.
 //!
 //! # Example
 //!
 //! ```
 //! use std::sync::Arc;
 //! use dsf_graph::{generators, NodeId};
-//! use dsf_service::{SolveRequest, SolverKind, SolverService};
+//! use dsf_service::{SolveRequest, SolverKind, SolverSession};
 //! use dsf_steiner::InstanceBuilder;
 //!
 //! let g = Arc::new(generators::gnp_connected(20, 0.2, 9, 5));
@@ -51,26 +53,21 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! let mut service = SolverService::with_defaults();
-//! let requests: Vec<_> = [SolverKind::Deterministic, SolverKind::Randomized]
-//!     .into_iter()
-//!     .map(|solver| SolveRequest::new(solver.name(), g.clone(), inst.clone(), solver, 7))
-//!     .collect();
-//! let report = service.run_batch(&requests).unwrap();
-//! assert!(report.violations.is_empty());
-//! for job in &report.jobs {
-//!     assert!(inst.is_feasible(&g, &job.forest));
+//! let mut session = SolverSession::new();
+//! for solver in [SolverKind::Deterministic, SolverKind::Randomized] {
+//!     let req = SolveRequest::new(solver.name(), g.clone(), inst.clone(), solver, 7);
+//!     let out = session.solve(&req).unwrap();
+//!     assert!(out.budget_violations(&g).is_empty());
+//!     assert!(inst.is_feasible(&g, &out.forest));
 //! }
 //! ```
 
 mod delta;
 mod report;
 mod request;
-mod service;
 mod session;
 
 pub use delta::{DeltaError, DeltaOutcome, DeltaStats, DemandId};
-pub use report::{JobOutcome, ServiceReport};
+pub use report::JobOutcome;
 pub use request::{SolveRequest, SolverKind};
-pub use service::{ServiceConfig, SolverService};
 pub use session::SolverSession;

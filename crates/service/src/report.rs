@@ -1,20 +1,21 @@
-//! Per-batch reporting: job outcomes, throughput, and the ledger
+//! Per-job reporting: the outcome of one solve and the ledger
 //! invariants the conformance oracle also checks.
 
-use dsf_congest::RoundLedger;
+use dsf_congest::{CongestConfig, RoundLedger};
+use dsf_graph::WeightedGraph;
 use dsf_steiner::ForestSolution;
+use dsf_workloads::conformance::check_ledger_budget;
 
 use crate::request::SolverKind;
 
 /// One completed job.
 ///
 /// `forest`, `ledger`, `weight`, and `ratio_milli` are deterministic —
-/// identical no matter how the batch was scheduled (worker count, batch
+/// identical no matter how the job was scheduled (worker count, batch
 /// composition, session reuse); `wall_ns` is machine- and
 /// schedule-dependent, report-only. [`JobOutcome::deterministic_eq`]
-/// compares exactly the deterministic part, which is how the service
-/// bench asserts batched results are bit-identical to one-at-a-time
-/// solves.
+/// compares exactly the deterministic part, which is how the benches
+/// assert scheduled results are bit-identical to one-at-a-time solves.
 #[derive(Debug, Clone)]
 pub struct JobOutcome {
     /// The request's id.
@@ -63,44 +64,16 @@ impl JobOutcome {
             && self.forest == other.forest
             && self.ledger == other.ledger
     }
-}
 
-/// The result of one [`crate::SolverService::run_batch`] call.
-#[derive(Debug)]
-pub struct ServiceReport {
-    /// Worker threads the batch was scheduled across.
-    pub workers: usize,
-    /// One outcome per request, in request order.
-    pub jobs: Vec<JobOutcome>,
-    /// Wall-clock of the whole batch in nanoseconds (report-only).
-    pub wall_ns: u64,
-    /// CONGEST-ledger invariant violations across the batch (empty on a
-    /// healthy run) — the same `B`-bit budget checks the conformance
-    /// oracle applies, so the service path cannot silently launder an
-    /// over-budget solve.
-    pub violations: Vec<String>,
-}
-
-impl ServiceReport {
-    /// Sum of per-job rounds (deterministic).
-    pub fn total_rounds(&self) -> u64 {
-        self.jobs.iter().map(JobOutcome::rounds).sum()
-    }
-
-    /// Sum of per-job messages (deterministic).
-    pub fn total_messages(&self) -> u64 {
-        self.jobs.iter().map(JobOutcome::messages).sum()
-    }
-
-    /// Batch throughput: `1000 × jobs / seconds` (report-only).
-    pub fn solves_per_sec_milli(&self) -> u64 {
-        if self.jobs.is_empty() {
-            return 0;
-        }
-        (self.jobs.len() as u64)
-            .saturating_mul(1_000_000_000_000)
-            .checked_div(self.wall_ns.max(1))
-            .unwrap_or(0)
+    /// The conformance oracle's `B`-bit ledger checks on this outcome of
+    /// a job over `graph`, one `job <id> [<solver>]: <violation>` line
+    /// each; empty for a healthy solve.
+    pub fn budget_violations(&self, graph: &WeightedGraph) -> Vec<String> {
+        let bandwidth = CongestConfig::for_graph(graph).bandwidth_bits;
+        check_ledger_budget(&self.ledger, bandwidth)
+            .into_iter()
+            .map(|v| format!("job {} [{}]: {v}", self.id, self.solver.name()))
+            .collect()
     }
 }
 
@@ -129,16 +102,5 @@ mod tests {
         let mut c = outcome(10);
         c.weight = 1;
         assert!(!a.deterministic_eq(&c));
-    }
-
-    #[test]
-    fn throughput_is_jobs_over_seconds() {
-        let report = ServiceReport {
-            workers: 1,
-            jobs: vec![outcome(1), outcome(1)],
-            wall_ns: 500_000_000, // 2 jobs in half a second = 4 solves/sec
-            violations: Vec::new(),
-        };
-        assert_eq!(report.solves_per_sec_milli(), 4_000);
     }
 }

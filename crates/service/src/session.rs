@@ -22,9 +22,9 @@ use crate::request::{SolveRequest, SolverKind};
 /// per-solve arena allocation** ([`SolverSession::pool_stats`] proves it —
 /// `builds` stays flat while `reuses` grows).
 ///
-/// Sessions are plain owned data: [`crate::SolverService`] keeps one per
-/// worker and hands them to its batch threads; a session can equally be
-/// used standalone for a sequential stream of solves.
+/// Sessions are plain owned data, used standalone for a sequential
+/// stream of solves; the `dsf-server` scheduler keeps one per worker
+/// thread and replaces it with a fresh one if a solve panics.
 ///
 /// # Example
 ///
@@ -125,7 +125,7 @@ impl SolverSession {
     /// Like [`SolverSession::solve`] but with the executor dispatch of
     /// this solve pinned to `threads` workers. With `threads > 1` the
     /// CONGEST stages run on the sharded engine, which does not consult
-    /// the session's pool — the trade the service's large-job phase makes
+    /// the session's pool — the trade a server's large lane makes
     /// deliberately. Results are bit-identical at every thread count.
     ///
     /// # Errors

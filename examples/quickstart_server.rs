@@ -31,6 +31,7 @@ fn main() {
 
     // A seed sweep at normal priority, plus one urgent job that jumps
     // the queue and one throwaway job we cancel immediately.
+    let mut requests = Vec::new();
     let mut handles = Vec::new();
     for seed in 0..8 {
         let req = SolveRequest::new(
@@ -40,17 +41,20 @@ fn main() {
             SolverKind::Randomized,
             seed,
         );
+        requests.push(req.clone());
         handles.push(server.submit(req).expect("admitted"));
     }
+    let urgent_req = SolveRequest::new(
+        "urgent",
+        g.clone(),
+        inst.clone(),
+        SolverKind::Deterministic,
+        0,
+    );
+    requests.push(urgent_req.clone());
     let urgent = server
         .submit_with(
-            SolveRequest::new(
-                "urgent",
-                g.clone(),
-                inst.clone(),
-                SolverKind::Deterministic,
-                0,
-            ),
+            urgent_req,
             JobOptions::default()
                 .with_priority(10)
                 .with_deadline_in(Duration::from_secs(30)),
@@ -68,21 +72,27 @@ fn main() {
     throwaway.cancel();
 
     // Results stream in completion order; every admitted job — finished,
-    // cancelled, or expired — is reported exactly once.
+    // cancelled, or expired — is reported exactly once, and every
+    // finished one is bit-identical to solving its request alone.
     let total = handles.len() + 2;
     for _ in 0..total {
         let r = server
             .next_result_timeout(Duration::from_secs(60))
             .expect("server drains");
         match r.status.outcome() {
-            Some(out) => println!(
-                "{:<16} prio {:>2}  weight {:>5}  rounds {:>4}  queued {:>6.2} ms",
-                r.id,
-                r.priority,
-                out.weight,
-                out.ledger.total(),
-                r.queued_ns as f64 / 1e6,
-            ),
+            Some(out) => {
+                let req = requests.iter().find(|q| q.id == r.id).expect("sent");
+                let alone = SolverSession::new().solve(req).expect("clean solve");
+                assert!(out.deterministic_eq(&alone), "{} drifted", r.id);
+                println!(
+                    "{:<16} prio {:>2}  weight {:>5}  rounds {:>4}  queued {:>6.2} ms",
+                    r.id,
+                    r.priority,
+                    out.weight,
+                    out.ledger.total(),
+                    r.queued_ns as f64 / 1e6,
+                );
+            }
             None => println!("{:<16} prio {:>2}  {:?}", r.id, r.priority, r.status),
         }
     }

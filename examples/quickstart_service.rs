@@ -1,6 +1,6 @@
-//! Quickstart for the service layer: pose a stream of Steiner forest
-//! jobs, run them as one batch through the pooled solver service, and
-//! read the per-job report — then run the same batch again to see warm
+//! Quickstart for batches: pose a set of Steiner forest jobs, run them
+//! as one batch on the streaming server's warm worker sessions, and read
+//! the per-job report — then run the same batch again to see warm
 //! sessions solve without allocating a single arena.
 //!
 //! ```text
@@ -12,8 +12,8 @@ use std::sync::Arc;
 use steiner_forest::prelude::*;
 
 fn main() {
-    // One recurring network (the service amortizes setup across jobs that
-    // share a graph) and two demand instances over it.
+    // One recurring network (warm sessions amortize setup across jobs
+    // that share a graph) and two demand instances over it.
     let g = Arc::new(generators::gnp_connected(40, 0.12, 20, 42));
     let provisioning = InstanceBuilder::new(&g)
         .component(&[NodeId(0), NodeId(7), NodeId(15)])
@@ -45,14 +45,14 @@ fn main() {
         }
     }
 
-    let mut service = SolverService::new(ServiceConfig {
+    let server = StreamingServer::new(ServerConfig {
         workers: 4,
         ..Default::default()
     });
 
-    let report = service.run_batch(&requests).expect("model respected");
+    let report = server.run_batch(&requests).expect("model respected");
     print_report("cold batch", &report);
-    let stats = service.pool_stats();
+    let stats = server.pool_stats();
     println!(
         "\npool after cold batch: {} arena builds, {} in-place reuses",
         stats.builds, stats.reuses
@@ -60,13 +60,13 @@ fn main() {
 
     // Steady state: the same workload again — bit-identical results
     // (batching and reuse are invisible), zero new allocations.
-    let again = service.run_batch(&requests).expect("model respected");
+    let again = server.run_batch(&requests).expect("model respected");
     assert!(report
         .jobs
         .iter()
         .zip(&again.jobs)
         .all(|(a, b)| a.deterministic_eq(b)));
-    let warm = service.pool_stats();
+    let warm = server.pool_stats();
     assert_eq!(warm.builds, stats.builds, "warm batch allocated nothing");
     print_report("warm batch", &again);
     println!(
@@ -75,7 +75,7 @@ fn main() {
     );
 }
 
-fn print_report(label: &str, report: &ServiceReport) {
+fn print_report(label: &str, report: &BatchReport) {
     println!(
         "\n{label}: {} jobs across {} workers, {:.3} ms, {:.1} solves/sec",
         report.jobs.len(),

@@ -25,13 +25,14 @@
 //! * [`workloads`] — the conformance lab: seeded instance corpus with
 //!   per-instance certificates and the differential oracle harness every
 //!   solver must pass.
-//! * [`service`] — the batched solver service: pooled executor sessions
-//!   (zero steady-state allocation) and a deterministic job queue whose
-//!   batched results are bit-identical to one-at-a-time solves.
-//! * [`server`] — the streaming front-end: a long-lived thread + channel
+//! * [`service`] — pooled solver sessions (zero steady-state
+//!   allocation), the solve-request vocabulary, and the incremental
+//!   delta API.
+//! * [`server`] — the one scheduler: a long-lived thread + channel
 //!   reactor with bounded admission, backpressure, priorities, deadlines,
-//!   cancellation, and per-job result streaming over the service's
-//!   session pool.
+//!   cancellation, per-job result streaming, and batches whose results
+//!   are bit-identical to one-at-a-time solves, over one pooled session
+//!   per worker.
 //!
 //! # Quickstart
 //!
@@ -72,12 +73,10 @@ pub mod prelude {
     pub use dsf_graph::metrics;
     pub use dsf_graph::{EdgeId, GraphBuilder, NodeId, Weight, WeightedGraph};
     pub use dsf_server::{
-        AdmissionPolicy, JobHandle, JobOptions, JobResult, JobStatus, ServerConfig, ServerError,
-        StreamingServer,
+        AdmissionPolicy, BatchError, BatchReport, JobHandle, JobOptions, JobResult, JobStatus,
+        ServerConfig, ServerError, StreamingServer,
     };
-    pub use dsf_service::{
-        ServiceConfig, ServiceReport, SolveRequest, SolverKind, SolverService, SolverSession,
-    };
+    pub use dsf_service::{SolveRequest, SolverKind, SolverSession};
     pub use dsf_steiner::{
         ComponentId, ConnectionRequests, ForestSolution, Instance, InstanceBuilder,
     };

@@ -16,7 +16,8 @@ use std::sync::Arc;
 
 use steiner_forest::congest::{run, CongestConfig, Message, NodeCtx, Outbox, Protocol, RunMetrics};
 use steiner_forest::prelude::*;
-use steiner_forest::service::{ServiceConfig, SolveRequest, SolverKind, SolverService};
+use steiner_forest::server::{ServerConfig, StreamingServer};
+use steiner_forest::service::{SolveRequest, SolverKind};
 use steiner_forest::workloads::conformance::{self, check_entry};
 use steiner_forest::workloads::corpus::{corpus, stream, Tier, FAMILIES, PATTERNS};
 use steiner_forest::workloads::CertificateKind;
@@ -199,8 +200,8 @@ fn congest_bandwidth_budget_holds_across_the_corpus() {
     }
 }
 
-/// The direct (one-shot) twin of a service job: the same `solve_*` call
-/// the service dispatches, reduced to the comparable fields.
+/// The direct (one-shot) twin of a scheduled job: the same `solve_*` call
+/// the session dispatches, reduced to the comparable fields.
 fn direct_solve(req: &SolveRequest) -> (ForestSolution, RoundLedger) {
     use steiner_forest::baselines::khan::{solve_khan, KhanConfig};
     use steiner_forest::baselines::solve_collect_at_root;
@@ -234,12 +235,12 @@ fn direct_solve(req: &SolveRequest) -> (ForestSolution, RoundLedger) {
     }
 }
 
-/// The differential gate also covers the service path: every corpus entry
-/// × solver kind runs as one batched job, and each outcome must be
-/// bit-identical — forest and full round ledger — to the direct one-shot
-/// solver call, feasible, and at least the certified lower bound. The
-/// service re-checks the `B`-bit ledger budget per job itself
-/// (`report.violations`).
+/// The differential gate also covers the scheduled path: every corpus
+/// entry × solver kind runs as one job of a server batch, and each
+/// outcome must be bit-identical — forest and full round ledger — to the
+/// direct one-shot solver call, feasible, and at least the certified
+/// lower bound. The batch re-checks the `B`-bit ledger budget per job
+/// itself (`report.violations`).
 #[test]
 fn service_path_matches_the_direct_solver_path_on_the_corpus() {
     let mut requests = Vec::new();
@@ -261,11 +262,11 @@ fn service_path_matches_the_direct_solver_path_on_the_corpus() {
         }
     }
 
-    let mut service = SolverService::new(ServiceConfig {
+    let server = StreamingServer::new(ServerConfig {
         workers: 2,
         ..Default::default()
     });
-    let report = service.run_batch(&requests).unwrap();
+    let report = server.run_batch(&requests).unwrap();
     assert!(report.violations.is_empty(), "{:#?}", report.violations);
     assert_eq!(report.jobs.len(), requests.len());
 
@@ -273,12 +274,12 @@ fn service_path_matches_the_direct_solver_path_on_the_corpus() {
         let (forest, ledger) = direct_solve(req);
         assert_eq!(
             job.forest, forest,
-            "{}: service forest diverges from the direct solve",
+            "{}: batched forest diverges from the direct solve",
             job.id
         );
         assert_eq!(
             job.ledger, ledger,
-            "{}: service ledger diverges from the direct solve",
+            "{}: batched ledger diverges from the direct solve",
             job.id
         );
         conformance::assert_feasible_forest(&req.graph, &req.instance, &job.forest, &job.id);
