@@ -10,7 +10,7 @@
 use dsf_congest::{CongestConfig, RoundLedger, SimError};
 use dsf_core::primitives::build_bfs_tree;
 use dsf_core::randomized::selection::run_selection_stage;
-use dsf_embed::{distributed::le_lists_distributed, Embedding, EmbeddingConfig};
+use dsf_embed::{distributed::le_lists_distributed, random_ranks, Embedding, EmbeddingConfig};
 use dsf_graph::{NodeId, WeightedGraph};
 use dsf_steiner::{ForestSolution, Instance, InstanceBuilder};
 
@@ -83,8 +83,9 @@ pub fn solve_khan(
     let mut best: Option<(ForestSolution, u64)> = None;
     for rep in 0..cfg.repetitions.max(1) {
         let seed = cfg.seed.wrapping_add(rep as u64);
-        let emb = Embedding::build(g, &EmbeddingConfig::new(seed));
-        let (_, le_metrics) = le_lists_distributed(g, &emb.ranks, &congest)?;
+        let ranks = random_ranks(g.n(), seed);
+        let (lists, le_metrics) = le_lists_distributed(g, &ranks, &congest)?;
+        let emb = Embedding::from_lists(g, &EmbeddingConfig::new(seed), ranks, lists);
         ledger.record(format!("rep {rep}: LE-list construction"), &le_metrics);
 
         // Sequential per-component selection: each component pays the full

@@ -5,7 +5,9 @@
 //! 1. **Virtual tree stage** — the probabilistic tree embedding of \[14\]
 //!    ([`dsf_embed`]): LE lists are constructed by the simulated CONGEST
 //!    protocol (the `Õ(min{s,√n})` dominant cost); ancestor chains and
-//!    per-path next-hop pointers are derived. When `s > √n` the tree is
+//!    per-path next-hop pointers are derived from them
+//!    ([`Embedding::from_lists`]). Footnote 2's `s` and `D` come from
+//!    [`WeightedGraph::parameters`]. When `s > √n` the tree is
 //!    truncated at the `√n` highest-rank nodes `S` and every node learns
 //!    its closest `S`-member instead ([`dsf_embed::TruncatedChain`]).
 //! 2. **Selection stage** ([`selection`]) — phases `i = 0..=L`: label
@@ -28,8 +30,8 @@ pub mod reduced;
 pub mod selection;
 
 use dsf_congest::{CongestConfig, RoundLedger, SimError};
-use dsf_embed::{distributed::le_lists_distributed, Embedding, EmbeddingConfig};
-use dsf_graph::{metrics, NodeId, WeightedGraph};
+use dsf_embed::{distributed::le_lists_distributed, random_ranks, Embedding, EmbeddingConfig};
+use dsf_graph::{NodeId, WeightedGraph};
 use dsf_steiner::{ForestSolution, Instance};
 
 use crate::primitives::build_bfs_tree;
@@ -131,31 +133,33 @@ pub fn solve_randomized(
     }
 
     // Footnote 2: s can be determined in O(D + min{s,√n}) rounds; we
-    // compute it driver-side and charge that bound.
-    let s = metrics::shortest_path_diameter(g) as usize;
+    // read it (and D) off the graph's parameters and charge that bound.
+    let params = g.parameters();
+    let s = params.shortest_path_diameter as usize;
     let sqrt_n = (g.n() as f64).sqrt().ceil() as usize;
     let truncated = cfg.force_truncation.unwrap_or(s > sqrt_n);
     ledger.charge(
         "determine s and n (footnote 2): O(D + min{s,√n})",
-        (metrics::unweighted_diameter(g) as usize + s.min(sqrt_n)) as u64,
+        (params.diameter as usize + s.min(sqrt_n)) as u64,
     );
 
     let bfs = build_bfs_tree(g, NodeId(0), &congest)?;
     ledger.record("BFS tree construction", &bfs.metrics);
 
-    let mut best: Option<(ForestSolution, u64, u64, u64)> = None;
+    let mut best: Option<(ForestSolution, u64, u64, Vec<NodeId>)> = None;
     for rep in 0..cfg.repetitions.max(1) {
         let seed = cfg.seed.wrapping_add(rep as u64);
         let emb_cfg = EmbeddingConfig {
             seed,
             truncate: truncated.then_some(sqrt_n),
         };
-        let emb = Embedding::build(g, &emb_cfg);
-
-        // Virtual tree construction cost: the LE-list protocol is simulated
-        // (the dominant Õ(min{s,√n}) part); path-pointer establishment is
-        // charged per [14] (one pipelined downcast per level).
-        let (_, le_metrics) = le_lists_distributed(g, &emb.ranks, &congest)?;
+        // Virtual tree construction: the LE-list protocol is simulated (the
+        // dominant Õ(min{s,√n}) part) and its lists build the embedding;
+        // path-pointer establishment is charged per [14] (one pipelined
+        // downcast per level).
+        let ranks = random_ranks(g.n(), seed);
+        let (lists, le_metrics) = le_lists_distributed(g, &ranks, &congest)?;
+        let emb = Embedding::from_lists(g, &emb_cfg, ranks, lists);
         ledger.record(format!("rep {rep}: LE-list construction"), &le_metrics);
         let mut max_hops = 0u64;
         for v in g.nodes() {
@@ -183,23 +187,16 @@ pub fn solve_randomized(
             w <= tree_opt,
             "stage-1 weight {w} exceeds tree optimum {tree_opt}"
         );
+        // Stage 2 clusters around the chosen embedding's S; keep only that.
         if best.as_ref().is_none_or(|(_, bw, _, _)| w < *bw) {
-            best = Some((sel.forest, w, tree_opt, seed));
+            best = Some((sel.forest, w, tree_opt, emb.s_set));
         }
     }
     ledger.charge("select lightest repetition: O(D) each", bfs.height() as u64);
-    let (stage1, stage1_weight, tree_opt_weight, best_seed) =
-        best.expect("at least one repetition");
+    let (stage1, stage1_weight, tree_opt_weight, s_set) = best.expect("at least one repetition");
 
     let forest = if truncated {
-        let emb_cfg = EmbeddingConfig {
-            seed: best_seed,
-            truncate: Some(sqrt_n),
-        };
-        // Cluster around the S of the *chosen* repetition's embedding;
-        // rebuilding is deterministic given its seed.
-        let emb = Embedding::build(g, &emb_cfg);
-        let second = reduced::solve_reduced(g, &minimal, &stage1, &emb, &congest, &mut ledger)?;
+        let second = reduced::solve_reduced(g, &minimal, &stage1, &s_set, &mut ledger)?;
         stage1.union(&second)
     } else {
         stage1

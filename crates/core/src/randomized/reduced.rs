@@ -18,8 +18,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use dsf_congest::{CongestConfig, RoundLedger, SimError};
-use dsf_embed::Embedding;
+use dsf_congest::{RoundLedger, SimError};
 use dsf_graph::union_find::UnionFind;
 use dsf_graph::{EdgeId, GraphBuilder, NodeId, WeightedGraph};
 use dsf_steiner::{moat, ForestSolution, Instance, InstanceBuilder};
@@ -67,8 +66,8 @@ fn cluster_assignment(
     owner
 }
 
-/// Builds and solves the `F`-reduced instance; returns the inducing edge
-/// set `F'` in the original graph.
+/// Builds and solves the `F`-reduced instance around the truncation set
+/// `S` (`s_set`); returns the inducing edge set `F'` in the original graph.
 ///
 /// # Errors
 ///
@@ -78,16 +77,14 @@ pub fn solve_reduced(
     g: &WeightedGraph,
     minimal: &Instance,
     stage1: &ForestSolution,
-    emb: &Embedding,
-    _cfg: &CongestConfig,
+    s_set: &[NodeId],
     ledger: &mut RoundLedger,
 ) -> Result<ForestSolution, SimError> {
     let n = g.n();
-    let s_set = &emb.s_set;
     assert!(!s_set.is_empty(), "reduced stage requires a truncation");
     let sqrt_n = (n as f64).sqrt().ceil() as u64;
     let log_n = (n.max(2) as f64).log2().ceil() as u64;
-    let diameter = dsf_graph::metrics::unweighted_diameter(g) as u64;
+    let diameter = u64::from(g.parameters().diameter);
 
     // Corollary G.11: cluster terminals around S inside (V, F).
     let hop_cap = (2 * sqrt_n * log_n) as usize;
@@ -212,7 +209,8 @@ pub fn solve_reduced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsf_embed::EmbeddingConfig;
+    use dsf_congest::CongestConfig;
+    use dsf_embed::{Embedding, EmbeddingConfig};
     use dsf_graph::generators;
     use dsf_steiner::random_instance;
 
@@ -260,7 +258,7 @@ mod tests {
                 crate::randomized::selection::run_selection_stage(&g, &emb, &minimal, &bfs, &cfg)
                     .unwrap();
             let mut ledger = RoundLedger::new();
-            let second = solve_reduced(&g, &minimal, &sel.forest, &emb, &cfg, &mut ledger).unwrap();
+            let second = solve_reduced(&g, &minimal, &sel.forest, &emb.s_set, &mut ledger).unwrap();
             let union = sel.forest.union(&second);
             assert!(inst.is_feasible(&g, &union), "seed {seed}");
             assert!(ledger.charged() > 0);

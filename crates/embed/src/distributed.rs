@@ -117,12 +117,11 @@ impl Protocol for LeProtocol {
     }
 
     fn round(&mut self, ctx: &NodeCtx, inbox: &[(NodeId, LeMsg)], out: &mut Outbox<LeMsg>) {
+        let nbrs = ctx.neighbors();
         for &(from, msg) in inbox {
-            let edge = ctx
-                .neighbors()
-                .iter()
-                .find(|&&(nb, _)| nb == from)
-                .map(|&(_, e)| e)
+            let edge = nbrs
+                .binary_search_by_key(&from, |&(nb, _)| nb)
+                .map(|i| nbrs[i].1)
                 .expect("sender is a neighbor");
             let cand = LeEntry {
                 node: msg.node,
@@ -168,10 +167,8 @@ pub fn le_lists_distributed(
         .map(|v| LeProtocol::new(ranks[v.idx()], g.degree(v)))
         .collect();
     let res = run(g, nodes, cfg)?;
-    Ok((
-        res.states.into_iter().map(|p| p.list.clone()).collect(),
-        res.metrics,
-    ))
+    let lists = res.states.into_iter().map(|p| p.list).collect();
+    Ok((lists, res.metrics))
 }
 
 #[cfg(test)]
@@ -191,19 +188,26 @@ mod tests {
     #[test]
     fn matches_centralized_on_random_graphs() {
         for seed in 0..6 {
-            let g = generators::gnp_connected(24, 0.15, 12, seed);
-            let ranks = random_ranks(24, seed + 50);
-            let (dist_lists, metrics) =
-                le_lists_distributed(&g, &ranks, &CongestConfig::for_graph(&g)).unwrap();
-            let central = le_lists(&g, &ranks);
-            for v in g.nodes() {
-                assert_eq!(
-                    strip_hops(&dist_lists[v.idx()]),
-                    strip_hops(&central[v.idx()]),
-                    "seed {seed}, node {v}"
-                );
+            // gnp, a tie-heavy grid (weights 1..16) and power-law RMAT.
+            let graphs = [
+                generators::gnp_connected(24, 0.15, 12, seed),
+                generators::grid(5, 6, 16, seed),
+                generators::rmat(40, 4, 16, seed),
+            ];
+            for (gi, g) in graphs.iter().enumerate() {
+                let ranks = random_ranks(g.n(), seed + 50);
+                let (dist_lists, metrics) =
+                    le_lists_distributed(g, &ranks, &CongestConfig::for_graph(g)).unwrap();
+                let central = le_lists(g, &ranks);
+                for v in g.nodes() {
+                    assert_eq!(
+                        strip_hops(&dist_lists[v.idx()]),
+                        strip_hops(&central[v.idx()]),
+                        "graph {gi}, seed {seed}, node {v}"
+                    );
+                }
+                assert!(metrics.rounds > 0);
             }
-            assert!(metrics.rounds > 0);
         }
     }
 

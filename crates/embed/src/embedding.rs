@@ -1,10 +1,12 @@
 //! The virtual tree: ancestor chains, physical routing tables, tree metric,
-//! tree-optimal forests, and the `S`-truncation of Section 5.
+//! tree-optimal forests, and the `S`-truncation of Section 5. The solvers
+//! build it with [`Embedding::from_lists`] from the simulated LE lists;
+//! [`Embedding::build`] computes the lists centrally and is the oracle.
 
 use std::collections::{HashMap, HashSet};
 
 use dsf_graph::dijkstra::{self, ShortestPaths};
-use dsf_graph::{metrics, NodeId, Weight, WeightedGraph, INF};
+use dsf_graph::{NodeId, Weight, WeightedGraph, INF};
 use dsf_steiner::Instance;
 
 use crate::le_list::{le_lists, LeList};
@@ -33,7 +35,7 @@ impl EmbeddingConfig {
 /// Truncation data for one node (Section 5, Step 1): the node's ancestor
 /// chain is cut at the first ancestor mapped to `S`; the node instead
 /// learns its closest `S`-member.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TruncatedChain {
     /// Chain prefix levels that survive (ancestors not in `S`);
     /// `prefix_len == iv` in the paper's notation.
@@ -70,19 +72,27 @@ pub struct Embedding {
 }
 
 impl Embedding {
-    /// Builds the embedding on `g`. Centralized computation of the object
-    /// the distributed construction of \[14\] produces; the distributed cost
-    /// is measured separately by [`crate::distributed`].
+    /// Builds the embedding on `g` from the centralized [`le_lists`].
     pub fn build(g: &WeightedGraph, cfg: &EmbeddingConfig) -> Self {
-        let n = g.n();
-        let ranks = random_ranks(n, cfg.seed);
-        let beta = Beta::sample(cfg.seed);
+        let ranks = random_ranks(g.n(), cfg.seed);
         let lists = le_lists(g, &ranks);
-        let wd = metrics::weighted_diameter(g);
-        let mut top_level = 0u32;
-        while !beta.ball_contains(wd, top_level) {
-            top_level += 1;
-        }
+        Self::from_lists(g, cfg, ranks, lists)
+    }
+
+    /// Builds the embedding on `g` from `lists`, the LE lists of
+    /// `ranks = random_ranks(n, cfg.seed)`; `WD` is `g.parameters()`'s.
+    pub fn from_lists(
+        g: &WeightedGraph,
+        cfg: &EmbeddingConfig,
+        ranks: Vec<u32>,
+        lists: Vec<LeList>,
+    ) -> Self {
+        let n = g.n();
+        let beta = Beta::sample(cfg.seed);
+        let wd = g.parameters().weighted_diameter;
+        let top_level = (0..)
+            .find(|&i| beta.ball_contains(wd, i))
+            .expect("β·2^i grows");
 
         // Recentered ancestor chains: c_0(v) = max rank in B(v, β);
         // c_{i+1} = max rank in B(c_i, β·2^{i+1}).
@@ -106,14 +116,11 @@ impl Embedding {
         // tree rooted at each destination center so that "the union of all
         // least-weight paths ending at a specific node induces a tree"
         // (paper, Main Techniques).
-        let mut centers: HashSet<NodeId> = HashSet::new();
-        for v in g.nodes() {
-            centers.extend(chains[v.idx()].iter().copied());
-        }
-        let mut dist_to_center: HashMap<NodeId, ShortestPaths> = HashMap::new();
-        for &c in &centers {
-            dist_to_center.insert(c, dijkstra::shortest_paths(g, c));
-        }
+        let centers: HashSet<NodeId> = chains.iter().flatten().copied().collect();
+        let dist_to_center: HashMap<NodeId, ShortestPaths> = centers
+            .into_iter()
+            .map(|c| (c, dijkstra::shortest_paths(g, c)))
+            .collect();
 
         let mut route: Vec<HashMap<NodeId, NodeId>> = vec![HashMap::new(); n];
         let mut path_dests: Vec<HashSet<NodeId>> = vec![HashSet::new(); n];
@@ -403,6 +410,54 @@ mod tests {
             assert!(in_s.contains(&t.closest_s));
             if in_s.contains(&v) {
                 assert_eq!(t.dist_s, 0);
+            }
+        }
+    }
+
+    /// The solvers build their embedding from the simulated LE lists; it
+    /// must be the centralized oracle's, facet for facet — on gnp, on a
+    /// tie-heavy grid (weights 1..16) and on RMAT, truncated and not.
+    #[test]
+    fn from_simulated_lists_equals_build() {
+        use crate::distributed::le_lists_distributed;
+        use dsf_congest::CongestConfig;
+
+        let graphs = [
+            generators::gnp_connected(40, 0.1, 16, 3),
+            generators::grid(6, 8, 16, 2),
+            generators::rmat(60, 4, 16, 5),
+        ];
+        for (gi, g) in graphs.iter().enumerate() {
+            let sqrt_n = (g.n() as f64).sqrt().ceil() as usize;
+            for (seed, truncate) in [(gi as u64 + 1, None), (gi as u64 + 7, Some(sqrt_n))] {
+                let cfg = EmbeddingConfig { seed, truncate };
+                let oracle = Embedding::build(g, &cfg);
+                let ranks = random_ranks(g.n(), seed);
+                let (lists, _) =
+                    le_lists_distributed(g, &ranks, &CongestConfig::for_graph(g)).unwrap();
+                let emb = Embedding::from_lists(g, &cfg, ranks, lists);
+                let at = format!("graph {gi}, seed {seed}, truncate {truncate:?}");
+                assert_eq!(emb.ranks, oracle.ranks, "{at}");
+                assert_eq!(emb.chains, oracle.chains, "{at}");
+                assert_eq!(emb.top_level, oracle.top_level, "{at}");
+                assert_eq!(emb.s_set, oracle.s_set, "{at}");
+                assert_eq!(emb.truncation, oracle.truncation, "{at}");
+                let centers = oracle.centers();
+                assert_eq!(emb.centers(), centers, "{at}");
+                for v in g.nodes() {
+                    assert_eq!(emb.path_count(v), oracle.path_count(v), "{at}, node {v}");
+                    for &c in &centers {
+                        assert_eq!(
+                            (emb.next_hop(v, c), emb.hops_to(v, c), emb.dist_to(v, c)),
+                            (
+                                oracle.next_hop(v, c),
+                                oracle.hops_to(v, c),
+                                oracle.dist_to(v, c)
+                            ),
+                            "{at}, node {v}, center {c}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -22,7 +22,9 @@
 //!   propagation — the dominant cost of \[14\]'s `Õ(s)` construction;
 //! * [`Embedding`] — ancestor chains, per-node routing tables
 //!   (`destination → next hop`), tree metric, optimal forest on the tree,
-//!   and the `S`-truncation of Section 5 (`s > √n` regime);
+//!   and the `S`-truncation of Section 5 (`s > √n` regime). The solvers
+//!   build it from the simulated lists ([`Embedding::from_lists`]);
+//!   [`Embedding::build`], on the centralized lists, is the test oracle;
 //! * per-node path-congestion statistics (Lemma G.1's `O(log n)` distinct
 //!   paths per node — experiment E6).
 //!

@@ -1,7 +1,9 @@
 //! The core immutable weighted-graph type and its builder.
 
 use std::fmt;
+use std::sync::OnceLock;
 
+use crate::metrics::{self, GraphParameters};
 use crate::Weight;
 
 /// Identifier of a node; nodes are numbered `0..n`.
@@ -230,6 +232,8 @@ pub struct WeightedGraph {
     /// Flat `(neighbor, edge id)` entries, each node's slice sorted by
     /// neighbor id.
     adj: Vec<(NodeId, EdgeId)>,
+    /// `D`, `WD` and `s`, computed on first use; see [`Self::parameters`].
+    params: OnceLock<GraphParameters>,
 }
 
 impl WeightedGraph {
@@ -263,6 +267,7 @@ impl WeightedGraph {
             edges,
             adj_off,
             adj,
+            params: OnceLock::new(),
         }
     }
 
@@ -317,6 +322,15 @@ impl WeightedGraph {
             return Err(GraphError::Disconnected);
         }
         Ok(g)
+    }
+
+    /// The graph parameters `D`, `WD` and `s` ([`metrics::parameters`]).
+    ///
+    /// The graph is immutable, so the all-pairs sweep runs once, on the
+    /// first call; later calls (from any thread, or on a clone made
+    /// after it) return the stored value.
+    pub fn parameters(&self) -> GraphParameters {
+        *self.params.get_or_init(|| metrics::parameters(self))
     }
 
     /// Number of nodes `n`.
@@ -469,6 +483,18 @@ mod tests {
         b.add_edge(NodeId(1), NodeId(2), 2).unwrap();
         b.add_edge(NodeId(2), NodeId(0), 3).unwrap();
         b.build().unwrap()
+    }
+
+    #[test]
+    fn parameters_are_computed_once_and_carried_by_clones() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<WeightedGraph>();
+        let g = crate::generators::gnp_connected(20, 0.2, 9, 4);
+        assert_eq!(g.params.get(), None);
+        assert_eq!(g.parameters(), metrics::parameters(&g));
+        let c = g.clone();
+        assert_eq!(c.params.get(), Some(&metrics::parameters(&g)));
+        assert_eq!(c.parameters(), g.parameters());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use steiner_forest::steiner::random_instance;
 fn main() {
     // A continental overlay network.
     let g = generators::gnp_connected(48, 0.1, 16, 3);
-    let p = metrics::parameters(&g);
+    let p = g.parameters();
     println!(
         "overlay: n={} m={} D={} s={} (√n ≈ {:.1})",
         p.n,

@@ -12,7 +12,7 @@ fn main() {
     // A random connected network of 30 nodes (the CONGEST graph is both
     // the communication topology and the problem instance).
     let g = generators::gnp_connected(30, 0.15, 20, 42);
-    let p = metrics::parameters(&g);
+    let p = g.parameters();
     println!(
         "network: n={} m={} D={} WD={} s={}",
         p.n, p.m, p.diameter, p.weighted_diameter, p.shortest_path_diameter

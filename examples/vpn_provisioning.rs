@@ -17,7 +17,7 @@ use steiner_forest::prelude::*;
 fn main() {
     // A metro-area backbone: geometric graph, weights = link distances.
     let g = generators::random_geometric(40, 0.25, 7);
-    let p = metrics::parameters(&g);
+    let p = g.parameters();
     println!(
         "backbone: n={} m={} D={} s={}",
         p.n, p.m, p.diameter, p.shortest_path_diameter

@@ -158,30 +158,43 @@ fn solver_ledger_is_thread_count_invariant() {
     }
 }
 
-/// A production protocol (the LE-list construction dominating the
-/// randomized algorithm's embedding stage) through both engines: the
-/// event-driven executor must be observationally invisible.
+/// A production protocol (the LE-list construction whose simulated lists
+/// build the randomized solvers' embeddings) through every engine: the
+/// event-driven executor and the sharded engine at 4 threads must be
+/// observationally invisible, down to each entry's next hop.
 #[test]
 fn le_list_protocol_is_executor_invariant() {
     for seed in 0..4 {
-        let g = generators::gnp_connected(40, 0.12, 12, seed);
-        let ranks = random_ranks(40, seed + 9);
-        let cfg = CongestConfig::for_graph(&g);
-        let mk = || {
-            g.nodes()
-                .map(|v| LeProtocol::new(ranks[v.idx()], g.degree(v)))
-                .collect::<Vec<_>>()
-        };
-        let ev = run(&g, mk(), &cfg).unwrap();
-        let rf = run_reference(&g, mk(), &cfg).unwrap();
-        assert_eq!(ev.metrics, rf.metrics, "seed {seed}");
-        for v in g.nodes() {
-            assert_eq!(
-                ev.states[v.idx()].list().entries(),
-                rf.states[v.idx()].list().entries(),
-                "seed {seed}, node {v}"
-            );
+        for g in [
+            generators::gnp_connected(40, 0.12, 12, seed),
+            generators::grid(6, 7, 16, seed),
+        ] {
+            let ranks = random_ranks(g.n(), seed + 9);
+            let cfg = CongestConfig::for_graph(&g);
+            let mk = || {
+                g.nodes()
+                    .map(|v| LeProtocol::new(ranks[v.idx()], g.degree(v)))
+                    .collect::<Vec<_>>()
+            };
+            let ev = with_threads(1, || run(&g, mk(), &cfg)).unwrap();
+            let sh = with_threads(4, || run(&g, mk(), &cfg)).unwrap();
+            let rf = run_reference(&g, mk(), &cfg).unwrap();
+            assert_eq!(ev.metrics, rf.metrics, "seed {seed}");
+            assert_eq!(sh.metrics, rf.metrics, "seed {seed}, 4 threads");
+            for v in g.nodes() {
+                let want = rf.states[v.idx()].list().entries();
+                assert_eq!(
+                    ev.states[v.idx()].list().entries(),
+                    want,
+                    "seed {seed}, node {v}"
+                );
+                assert_eq!(
+                    sh.states[v.idx()].list().entries(),
+                    want,
+                    "seed {seed}, node {v}, 4 threads"
+                );
+            }
+            assert!(ev.stats.activations <= rf.stats.activations, "seed {seed}");
         }
-        assert!(ev.stats.activations <= rf.stats.activations, "seed {seed}");
     }
 }
