@@ -219,7 +219,7 @@ impl Embedding {
 
     /// Tree-metric distance between two leaves: both chains are walked to
     /// their first common ancestor at level `i`; the distance is
-    /// `2·Σ_{j=0..=i} β·2^j`.
+    /// `2·Σ_{j=0..=i} β·2^j`, saturating at `Weight::MAX`.
     pub fn tree_distance(&self, u: NodeId, v: NodeId) -> Weight {
         if u == v {
             return 0;
@@ -233,21 +233,27 @@ impl Embedding {
             }
         }
         let i = meet.expect("chains share the top-level root");
-        2 * (0..=i as u32).map(|j| self.beta.scaled(j)).sum::<Weight>()
+        saturate(
+            2 * (0..=i as u32)
+                .map(|j| u128::from(self.beta.scaled(j)))
+                .sum::<u128>(),
+        )
     }
 
     /// Weight of the optimal Steiner forest **on the virtual tree** for
     /// `inst` (union over components of the minimal spanning subtree of
     /// their leaves). This is the quantity Lemma G.8 compares the
-    /// first-stage edge set against.
+    /// first-stage edge set against. Saturates at `Weight::MAX`: the tree
+    /// metric dominates graph distances, so on a graph whose paths carry
+    /// most of its (valid, `< INF`) total weight it can exceed `u64`.
     pub fn tree_opt_weight(&self, inst: &Instance) -> Weight {
-        let mut total: Weight = 0;
+        let mut total: u128 = 0;
         for comp in inst.components() {
             if comp.len() < 2 {
                 continue;
             }
             // Leaf edges: each terminal's edge to its level-0 ancestor.
-            total += comp.len() as Weight * self.beta.scaled(0);
+            total += comp.len() as u128 * u128::from(self.beta.scaled(0));
             // Level edges: ancestor at level i -> level i+1 is in the
             // subtree iff the leaves below it are a proper nonempty subset.
             for i in 0..self.top_level as usize {
@@ -257,12 +263,12 @@ impl Embedding {
                 }
                 for (_, cnt) in below {
                     if cnt < comp.len() {
-                        total += self.beta.scaled(i as u32 + 1);
+                        total += u128::from(self.beta.scaled(i as u32 + 1));
                     }
                 }
             }
         }
-        total
+        saturate(total)
     }
 
     /// All distinct centers (internal virtual nodes).
@@ -271,6 +277,11 @@ impl Embedding {
         cs.sort_unstable();
         cs
     }
+}
+
+/// Narrows a tree-metric sum to a [`Weight`], saturating at `Weight::MAX`.
+fn saturate(sum: u128) -> Weight {
+    Weight::try_from(sum).unwrap_or(Weight::MAX)
 }
 
 #[cfg(test)]

@@ -225,20 +225,22 @@ mod tests {
         assert_eq!(sp.sources, vec![NodeId(3)]);
     }
 
-    /// Heavy-tailed weights whose path sums exceed the INF sentinel must
-    /// clamp to "unreachable" instead of wrapping into bogus small
-    /// distances (the old unchecked `d + w`).
+    /// Path sums that exceed the INF sentinel must clamp to "unreachable"
+    /// instead of wrapping into bogus small distances (the old unchecked
+    /// `d + w`). A validated graph's total stays below INF, so the sums
+    /// come from a `multi_source_with` weight closure, as when a caller
+    /// prices an edge out with INF.
     #[test]
     fn near_inf_weights_clamp_instead_of_wrapping() {
-        // 0 -huge- 1 -huge- 2: the two-edge path sum exceeds INF (but
-        // not u64), so node 2 is "unreachable" from 0; node 1 is at a
-        // finite (huge) distance.
+        // 0 - 1 - 2, both edges priced huge: the two-edge path sum
+        // exceeds INF (but not u64), so node 2 is "unreachable" from 0;
+        // node 1 is at a finite (huge) distance.
         let huge = INF - 1;
         let mut b = GraphBuilder::new(3);
-        b.add_edge(NodeId(0), NodeId(1), huge).unwrap();
-        b.add_edge(NodeId(1), NodeId(2), huge).unwrap();
+        b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+        b.add_edge(NodeId(1), NodeId(2), 1).unwrap();
         let g = b.build().unwrap();
-        let sp = shortest_paths(&g, NodeId(0));
+        let sp = multi_source_with(&g, &[NodeId(0)], |_| huge);
         assert_eq!(sp.dist[1], huge);
         assert_eq!(sp.dist[2], INF, "saturated distance must read unreachable");
         assert_eq!(sp.parent[2], None);

@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::metrics::{self, GraphParameters};
-use crate::Weight;
+use crate::{Weight, INF};
 
 /// Identifier of a node; nodes are numbered `0..n`.
 ///
@@ -81,7 +81,8 @@ impl Edge {
     }
 }
 
-/// Errors raised while constructing a [`WeightedGraph`].
+/// Why an edge list is not a valid [`WeightedGraph`]; one validator,
+/// [`WeightedGraph::from_edges`], decides it for every constructor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
     /// An endpoint was `>= n`.
@@ -97,6 +98,9 @@ pub enum GraphError {
     Disconnected,
     /// The graph has no nodes.
     Empty,
+    /// The total edge weight reaches [`INF`] (it bounds every path, so
+    /// below it `INF` can only mean "unreachable").
+    WeightTooLarge,
 }
 
 impl fmt::Display for GraphError {
@@ -110,13 +114,15 @@ impl fmt::Display for GraphError {
             GraphError::ZeroWeight(u, v) => write!(f, "zero weight on edge {{{u}, {v}}}"),
             GraphError::Disconnected => write!(f, "graph is not connected"),
             GraphError::Empty => write!(f, "graph has no nodes"),
+            GraphError::WeightTooLarge => write!(f, "total edge weight reaches INF"),
         }
     }
 }
 
 impl std::error::Error for GraphError {}
 
-/// Incrementally assembles a [`WeightedGraph`], validating as it goes.
+/// Incrementally assembles a [`WeightedGraph`]: each edge is checked as
+/// it is added, and [`GraphBuilder::build`] is [`WeightedGraph::from_edges`].
 ///
 /// # Example
 ///
@@ -155,18 +161,7 @@ impl GraphBuilder {
     /// Returns an error on self loops, duplicate edges, zero weights or
     /// out-of-range endpoints. The builder is left unchanged on error.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: Weight) -> Result<EdgeId, GraphError> {
-        if u.idx() >= self.n {
-            return Err(GraphError::NodeOutOfRange { node: u, n: self.n });
-        }
-        if v.idx() >= self.n {
-            return Err(GraphError::NodeOutOfRange { node: v, n: self.n });
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop(u));
-        }
-        if w == 0 {
-            return Err(GraphError::ZeroWeight(u, v));
-        }
+        check_edge(self.n, &Edge { u, v, w })?;
         let (a, b) = if u < v { (u, v) } else { (v, u) };
         if !self.seen.insert((a.0, b.0)) {
             return Err(GraphError::DuplicateEdge(a, b));
@@ -187,30 +182,40 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Finishes the graph, checking connectivity.
+    /// Finishes the graph.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::Disconnected`] if the graph is not connected and
-    /// [`GraphError::Empty`] if `n == 0`.
+    /// The whole-graph errors of [`WeightedGraph::from_edges`]:
+    /// `Empty`, `Disconnected` or `WeightTooLarge`.
     pub fn build(self) -> Result<WeightedGraph, GraphError> {
-        if self.n == 0 {
-            return Err(GraphError::Empty);
-        }
-        let g = self.build_unchecked();
-        if !g.is_connected() {
-            return Err(GraphError::Disconnected);
-        }
-        Ok(g)
+        WeightedGraph::from_edges(self.n, self.edges)
     }
 
-    /// Finishes the graph without the connectivity check.
-    ///
-    /// Useful for intermediate graphs (e.g. the forest `(V, F)` of selected
-    /// edges, which is intentionally disconnected).
+    /// Finishes the graph without the whole-graph checks (empty,
+    /// connected, total weight). Only for intermediate graphs: subgraphs
+    /// of a valid graph such as the forest `(V, F)`, or unit-weight
+    /// graphs still being stitched. Solvers panic on disconnected input.
     pub fn build_unchecked(self) -> WeightedGraph {
         WeightedGraph::assemble(self.n, self.edges)
     }
+}
+
+/// The per-edge rules: both endpoints in `0..n`, no self loop, and a
+/// positive weight.
+fn check_edge(n: usize, e: &Edge) -> Result<(), GraphError> {
+    for node in [e.u, e.v] {
+        if node.idx() >= n {
+            return Err(GraphError::NodeOutOfRange { node, n });
+        }
+    }
+    if e.u == e.v {
+        return Err(GraphError::SelfLoop(e.u));
+    }
+    if e.w == 0 {
+        return Err(GraphError::ZeroWeight(e.u, e.v));
+    }
+    Ok(())
 }
 
 /// An immutable, undirected, positively-weighted graph.
@@ -271,39 +276,23 @@ impl WeightedGraph {
         }
     }
 
-    /// Builds a validated graph directly from an edge list, without the
-    /// per-edge hashing [`GraphBuilder`] pays for incremental duplicate
-    /// detection — the O(n + m) construction path the scale-tier
-    /// generators use (a `HashSet` over 20M+ edges costs more transient
-    /// memory than the finished graph).
-    ///
-    /// Edges may be given in either orientation; they are normalized to
-    /// `u < v`. Duplicates are detected from the sorted adjacency instead
-    /// of a hash set.
+    /// Builds a validated graph from an edge list in O(n + m): the one
+    /// graph-validity rule. Edges may come in either orientation (they
+    /// are normalized to `u < v`); duplicates are found from the sorted
+    /// adjacency, not a hash set (over 20M+ edges one costs more memory
+    /// than the graph).
     ///
     /// # Errors
     ///
-    /// Returns the same [`GraphError`]s as the builder path: out-of-range
-    /// endpoints, self loops, zero weights, duplicate edges,
-    /// disconnectedness, or an empty node set.
-    pub fn from_edges(n: usize, edges: Vec<Edge>) -> Result<WeightedGraph, GraphError> {
+    /// In this order: `Empty`; the per-edge `NodeOutOfRange`, `SelfLoop`,
+    /// `ZeroWeight`; `DuplicateEdge`; `Disconnected`; and `WeightTooLarge`
+    /// if the total weight, summed without overflow, is at least [`INF`].
+    pub fn from_edges(n: usize, mut edges: Vec<Edge>) -> Result<WeightedGraph, GraphError> {
         if n == 0 {
             return Err(GraphError::Empty);
         }
-        let mut edges = edges;
         for e in &mut edges {
-            if e.u.idx() >= n {
-                return Err(GraphError::NodeOutOfRange { node: e.u, n });
-            }
-            if e.v.idx() >= n {
-                return Err(GraphError::NodeOutOfRange { node: e.v, n });
-            }
-            if e.u == e.v {
-                return Err(GraphError::SelfLoop(e.u));
-            }
-            if e.w == 0 {
-                return Err(GraphError::ZeroWeight(e.u, e.v));
-            }
+            check_edge(n, e)?;
             if e.u > e.v {
                 std::mem::swap(&mut e.u, &mut e.v);
             }
@@ -320,6 +309,13 @@ impl WeightedGraph {
         }
         if !g.is_connected() {
             return Err(GraphError::Disconnected);
+        }
+        let total = g
+            .edges
+            .iter()
+            .fold(0 as Weight, |acc, e| acc.saturating_add(e.w));
+        if total >= INF {
+            return Err(GraphError::WeightTooLarge);
         }
         Ok(g)
     }
@@ -661,5 +657,35 @@ mod tests {
             WeightedGraph::from_edges(4, vec![e(0, 1, 1), e(2, 3, 1)]).unwrap_err(),
             GraphError::Disconnected
         );
+        // The weight rule, identically on both paths: a total at or above
+        // INF is rejected (without overflowing the sum), INF - 1 is not.
+        let via_builder = |n: usize, edges: &[Edge]| {
+            let mut b = GraphBuilder::new(n);
+            for ed in edges {
+                b.add_edge(ed.u, ed.v, ed.w)?;
+            }
+            b.build()
+        };
+        let half = u64::MAX / 2;
+        for (n, edges) in [
+            (3, vec![e(0, 1, half), e(1, 2, half)]),
+            (2, vec![e(0, 1, INF)]),
+            (3, vec![e(0, 1, INF / 2 + 1), e(1, 2, INF / 2 + 1)]),
+        ] {
+            assert_eq!(
+                via_builder(n, &edges).unwrap_err(),
+                GraphError::WeightTooLarge,
+                "{edges:?}"
+            );
+            assert_eq!(
+                WeightedGraph::from_edges(n, edges.clone()).unwrap_err(),
+                GraphError::WeightTooLarge,
+                "{edges:?}"
+            );
+        }
+        let largest = vec![e(0, 1, INF / 2), e(1, 2, INF - 1 - INF / 2)];
+        assert_eq!(largest[0].w + largest[1].w, INF - 1);
+        assert!(via_builder(3, &largest).is_ok());
+        assert!(WeightedGraph::from_edges(3, largest).is_ok());
     }
 }

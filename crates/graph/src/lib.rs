@@ -44,8 +44,13 @@ pub mod union_find;
 pub use graph::{Edge, EdgeId, GraphBuilder, GraphError, NodeId, WeightedGraph};
 
 /// Edge weights are positive integers, polynomially bounded in `n`
-/// (the paper's model assumption, Section 2).
+/// (the paper's model assumption, Section 2). Every validated
+/// [`WeightedGraph`] enforces the bound as: total edge weight `< INF`
+/// ([`GraphError::WeightTooLarge`] otherwise).
 pub type Weight = u64;
 
 /// "Infinite" distance sentinel, chosen so that `INF + INF` does not overflow.
+///
+/// On a validated graph every path weighs less than the total, hence less
+/// than `INF`, so a distance of `INF` can only mean "unreachable".
 pub const INF: Weight = u64::MAX / 4;

@@ -79,10 +79,9 @@ pub enum DeltaError {
     EdgeOutOfRange(EdgeId),
     /// Reweight to zero (the model requires weights in `N`, Section 2).
     ZeroWeight(EdgeId),
-    /// Reweight that lifts the graph's total weight to [`INF`] or more
-    /// (any `w >= INF` among them): shortest-path searches read a
-    /// distance that large as unreachable, so demands across the edge
-    /// would silently disconnect.
+    /// Reweight that breaks the graph's weight rule
+    /// ([`dsf_graph::GraphError::WeightTooLarge`]: total weight reaching
+    /// [`INF`]).
     WeightTooLarge(EdgeId),
 }
 
@@ -448,19 +447,13 @@ impl SolverSession {
         }
         let mut edges = state.graph.edges().to_vec();
         edges[e.idx()].w = w;
-        // The total weight bounds every path, so keeping it below INF
-        // keeps every distance the solvers compute finite.
-        let total = edges
-            .iter()
-            .fold(0 as Weight, |acc, ed| acc.saturating_add(ed.w));
-        if total >= INF {
-            return Err(DeltaError::WeightTooLarge(e));
-        }
         let old_w = state.graph.weight(e);
         let went_up = w > old_w;
+        // Re-pricing one edge to a positive weight keeps the structure
+        // valid, so the graph's weight rule is the only one that can fail.
         let graph = Arc::new(
             WeightedGraph::from_edges(state.graph.n(), edges)
-                .expect("reweighting a valid graph stays valid"),
+                .map_err(|_| DeltaError::WeightTooLarge(e))?,
         );
         let (forest, moves) = if went_up && !state.forest.contains(e) {
             // A chord that only got more expensive cannot enable any
