@@ -5,8 +5,8 @@
 //! 1. **Virtual tree stage** — the probabilistic tree embedding of \[14\]
 //!    ([`dsf_embed`]): LE lists are constructed by the simulated CONGEST
 //!    protocol (the `Õ(min{s,√n})` dominant cost); ancestor chains and
-//!    per-path next-hop pointers are derived from them
-//!    ([`Embedding::from_lists`]). Footnote 2's `s` and `D` come from
+//!    one route table per node (its installed paths' next hops) are
+//!    derived from them ([`Embedding::from_lists`]). Footnote 2's `s` and `D` come from
 //!    [`WeightedGraph::parameters`]. When `s > √n` the tree is
 //!    truncated at the `√n` highest-rank nodes `S` and every node learns
 //!    its closest `S`-member instead ([`dsf_embed::TruncatedChain`]).
@@ -49,8 +49,6 @@ pub struct RandConfig {
     pub force_truncation: Option<bool>,
     /// Bandwidth override.
     pub bandwidth_bits: Option<usize>,
-    /// Edges whose traffic is metered (lower-bound experiments).
-    pub metered_cut: Vec<dsf_graph::EdgeId>,
 }
 
 impl Default for RandConfig {
@@ -60,7 +58,6 @@ impl Default for RandConfig {
             repetitions: 3,
             force_truncation: None,
             bandwidth_bits: None,
-            metered_cut: Vec::new(),
         }
     }
 }
@@ -118,7 +115,6 @@ pub fn solve_randomized(
     if let Some(b) = cfg.bandwidth_bits {
         congest.bandwidth_bits = b;
     }
-    congest.metered_cut = cfg.metered_cut.iter().copied().collect();
     let mut ledger = RoundLedger::new();
     let minimal = inst.make_minimal();
 
@@ -161,12 +157,13 @@ pub fn solve_randomized(
         let (lists, le_metrics) = le_lists_distributed(g, &ranks, &congest)?;
         let emb = Embedding::from_lists(g, &emb_cfg, ranks, lists);
         ledger.record(format!("rep {rep}: LE-list construction"), &le_metrics);
+        // Every chain level has an installed path, so `hops_to` is defined
+        // on each pair asked here.
         let mut max_hops = 0u64;
         for v in g.nodes() {
             for &c in &emb.chains[v.idx()] {
-                if let Some(h) = emb.hops_to(v, c) {
-                    max_hops = max_hops.max(h as u64);
-                }
+                let h = emb.hops_to(v, c).expect("chain levels are installed");
+                max_hops = max_hops.max(u64::from(h));
             }
         }
         ledger.charge(

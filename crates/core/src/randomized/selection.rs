@@ -2,12 +2,12 @@
 //! virtual tree; requests are routed physically with filtering and
 //! multiplexing; traversed edges form the stage-1 output `F`.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 use dsf_congest::{
     id_bits, run, CongestConfig, Message, NodeCtx, Outbox, Protocol, RoundLedger, SimError,
 };
-use dsf_embed::Embedding;
+use dsf_embed::{Embedding, Route};
 use dsf_graph::{EdgeId, NodeId, WeightedGraph};
 use dsf_steiner::{ForestSolution, Instance};
 
@@ -29,9 +29,12 @@ impl Message for RouteMsg {
 }
 
 #[derive(Debug)]
-struct RouteNode {
-    /// `dest -> next hop` from this node (installed shortest paths).
-    resolver: HashMap<NodeId, NodeId>,
+struct RouteNode<'a> {
+    /// This node's route table in the embedding (installed shortest paths).
+    routes: &'a [Route],
+    /// With truncation, `(closest S-member, next hop towards it)` on the
+    /// S-Voronoi tree, consulted after `routes`.
+    fallback: Option<(NodeId, NodeId)>,
     /// Locally originated requests (Step 3b's `list`).
     initial: Vec<RouteMsg>,
     /// One FIFO per neighbor — the round-robin multiplexing over
@@ -47,7 +50,14 @@ struct RouteNode {
     traversed: Vec<EdgeId>,
 }
 
-impl RouteNode {
+impl RouteNode<'_> {
+    fn next_hop(&self, dest: NodeId) -> Option<NodeId> {
+        match self.routes.binary_search_by_key(&dest, |r| r.dest) {
+            Ok(i) => Some(self.routes[i].next),
+            Err(_) => self.fallback.and_then(|(s, h)| (s == dest).then_some(h)),
+        }
+    }
+
     fn handle(&mut self, ctx: &NodeCtx, msg: RouteMsg, from: Option<NodeId>) {
         if !self.seen.insert((msg.label, msg.dest)) {
             return; // only the first (λ, dest) message is forwarded
@@ -56,14 +66,12 @@ impl RouteNode {
             self.arrived.push((msg.label, from));
             return;
         }
-        let hop = *self
-            .resolver
-            .get(&msg.dest)
+        let hop = self
+            .next_hop(msg.dest)
             .unwrap_or_else(|| panic!("{}: no route to {}", ctx.id, msg.dest));
         let qi = ctx
             .neighbors()
-            .iter()
-            .position(|&(nb, _)| nb == hop)
+            .binary_search_by_key(&hop, |&(nb, _)| nb)
             .expect("next hop is a neighbor");
         self.queues[qi].push_back(msg);
     }
@@ -77,7 +85,7 @@ impl RouteNode {
     }
 }
 
-impl Protocol for RouteNode {
+impl Protocol for RouteNode<'_> {
     type Msg = RouteMsg;
 
     fn init(&mut self, ctx: &NodeCtx, out: &mut Outbox<RouteMsg>) {
@@ -89,12 +97,11 @@ impl Protocol for RouteNode {
     }
 
     fn round(&mut self, ctx: &NodeCtx, inbox: &[(NodeId, RouteMsg)], out: &mut Outbox<RouteMsg>) {
+        let nbrs = ctx.neighbors();
         for &(from, m) in inbox {
-            let edge = ctx
-                .neighbors()
-                .iter()
-                .find(|&&(nb, _)| nb == from)
-                .map(|&(_, e)| e)
+            let edge = nbrs
+                .binary_search_by_key(&from, |&(nb, _)| nb)
+                .map(|i| nbrs[i].1)
                 .expect("sender is a neighbor");
             // Record before filtering: the edge was traversed either way.
             self.traversed.push(edge);
@@ -129,7 +136,6 @@ pub fn run_selection_stage(
     bfs: &BfsOutcome,
     cfg: &CongestConfig,
 ) -> Result<SelectionResult, SimError> {
-    let n = g.n();
     let mut ledger = RoundLedger::new();
     // Step 2: custody starts at the terminals.
     let mut custody: Vec<Vec<u32>> = g
@@ -150,50 +156,29 @@ pub fn run_selection_stage(
             break;
         }
 
-        // Step 3b: destinations for this phase.
-        let mut initial: Vec<Vec<RouteMsg>> = vec![Vec::new(); n];
-        let mut resolvers: Vec<HashMap<NodeId, NodeId>> = vec![HashMap::new(); n];
-        let mut dests_used: HashSet<NodeId> = HashSet::new();
-        for v in g.nodes() {
-            if custody[v.idx()].is_empty() {
-                continue;
-            }
-            let dest = match &emb.truncation {
-                Some(tr) if (i as usize) >= tr[v.idx()].prefix_len => tr[v.idx()].closest_s,
-                _ => emb.chains[v.idx()][i as usize],
-            };
-            dests_used.insert(dest);
-            for &l in &custody[v.idx()] {
-                initial[v.idx()].push(RouteMsg { label: l, dest });
-            }
-        }
-        // Install the next-hop tables for the destinations in use: the
-        // ancestor paths from the embedding, or the S-Voronoi tree for
-        // truncated destinations.
-        for x in g.nodes() {
-            for &dest in &dests_used {
-                if let Some(hop) = emb.next_hop(x, dest) {
-                    resolvers[x.idx()].insert(dest, hop);
-                }
-            }
-            if let Some(tr) = &emb.truncation {
-                let t = &tr[x.idx()];
-                if let Some(hop) = t.next_hop_s {
-                    resolvers[x.idx()].entry(t.closest_s).or_insert(hop);
-                }
-            }
-        }
-
-        // Step 3c: run the routing protocol.
+        // Step 3b: every custodian requests its level-i destination.
+        // Step 3c: the requests follow the embedding's installed paths, or
+        // the S-Voronoi tree for truncated destinations.
         let nodes: Vec<RouteNode> = g
             .nodes()
-            .map(|v| RouteNode {
-                resolver: std::mem::take(&mut resolvers[v.idx()]),
-                initial: std::mem::take(&mut initial[v.idx()]),
-                queues: vec![VecDeque::new(); g.degree(v)],
-                seen: HashSet::new(),
-                arrived: Vec::new(),
-                traversed: Vec::new(),
+            .map(|v| {
+                let t = emb.truncation.as_ref().map(|tr| &tr[v.idx()]);
+                let dest = match t {
+                    Some(t) if i as usize >= t.prefix_len => t.closest_s,
+                    _ => emb.chains[v.idx()][i as usize],
+                };
+                RouteNode {
+                    routes: emb.routes(v),
+                    fallback: t.and_then(|t| Some((t.closest_s, t.next_hop_s?))),
+                    initial: custody[v.idx()]
+                        .iter()
+                        .map(|&label| RouteMsg { label, dest })
+                        .collect(),
+                    queues: vec![VecDeque::new(); g.degree(v)],
+                    seen: HashSet::new(),
+                    arrived: Vec::new(),
+                    traversed: Vec::new(),
+                }
             })
             .collect();
         let res = run(g, nodes, cfg)?;
@@ -208,7 +193,7 @@ pub fn run_selection_stage(
 
         // Collect traversed edges and hand custody over (Step 3d).
         let mut max_bundle = 0u64;
-        let mut next_custody: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut next_custody: Vec<Vec<u32>> = vec![Vec::new(); g.n()];
         for w in g.nodes() {
             let st = &res.states[w.idx()];
             f_edges.extend(st.traversed.iter().copied());

@@ -3,10 +3,9 @@
 //! build it with [`Embedding::from_lists`] from the simulated LE lists;
 //! [`Embedding::build`] computes the lists centrally and is the oracle.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use dsf_graph::dijkstra::{self, ShortestPaths};
-use dsf_graph::{NodeId, Weight, WeightedGraph, INF};
+use dsf_graph::{dijkstra, NodeId, Weight, WeightedGraph};
 use dsf_steiner::Instance;
 
 use crate::le_list::{le_lists, LeList};
@@ -48,8 +47,23 @@ pub struct TruncatedChain {
     pub next_hop_s: Option<NodeId>,
 }
 
-/// A constructed virtual tree embedding.
-#[derive(Debug, Clone)]
+/// One entry of a node's route table: the installed path to center `dest`
+/// leaves this node towards neighbor `next`, `hops` edges from `dest`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    /// The destination center.
+    pub dest: NodeId,
+    /// The next hop towards `dest` (a neighbor).
+    pub next: NodeId,
+    /// Hop length of the installed path from this node to `dest`.
+    pub hops: u32,
+}
+
+/// A constructed virtual tree embedding. The installed paths ("a shortest
+/// path from each node to each of its ancestors") are held once, in one
+/// route table per node ([`Embedding::routes`]); hop counts are known only
+/// along them.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Embedding {
     /// Random ranks (a permutation of `0..n`).
     pub ranks: Vec<u32>,
@@ -57,13 +71,12 @@ pub struct Embedding {
     pub beta: Beta,
     /// Number of internal levels: ancestors exist for `i = 0..=top_level`.
     pub top_level: u32,
-    /// Per-node LE lists.
-    pub lists: Vec<LeList>,
     /// `chains[v][i]` = the level-`i` ancestor (recentered chain).
     pub chains: Vec<Vec<NodeId>>,
-    route: Vec<HashMap<NodeId, NodeId>>,
-    path_dests: Vec<HashSet<NodeId>>,
-    dist_to_center: HashMap<NodeId, ShortestPaths>,
+    /// All distinct centers, sorted.
+    centers: Vec<NodeId>,
+    /// `routes[x]`, sorted by `dest`: see [`Embedding::routes`].
+    routes: Vec<Vec<Route>>,
     /// `S`-truncation data (present iff configured).
     pub truncation: Option<Vec<TruncatedChain>>,
     /// The set `S` (highest-rank nodes), sorted by id; empty when not
@@ -81,6 +94,7 @@ impl Embedding {
 
     /// Builds the embedding on `g` from `lists`, the LE lists of
     /// `ranks = random_ranks(n, cfg.seed)`; `WD` is `g.parameters()`'s.
+    /// Each center's Dijkstra is dropped once its paths are installed.
     pub fn from_lists(
         g: &WeightedGraph,
         cfg: &EmbeddingConfig,
@@ -111,38 +125,33 @@ impl Embedding {
                 chains[v.idx()].push(cur);
             }
         }
+        drop(lists);
 
-        // Distinct centers per level; paths are drawn from the Dijkstra
-        // tree rooted at each destination center so that "the union of all
-        // least-weight paths ending at a specific node induces a tree"
-        // (paper, Main Techniques).
-        let centers: HashSet<NodeId> = chains.iter().flatten().copied().collect();
-        let dist_to_center: HashMap<NodeId, ShortestPaths> = centers
-            .into_iter()
-            .map(|c| (c, dijkstra::shortest_paths(g, c)))
-            .collect();
-
-        let mut route: Vec<HashMap<NodeId, NodeId>> = vec![HashMap::new(); n];
-        let mut path_dests: Vec<HashSet<NodeId>> = vec![HashSet::new(); n];
-        let mut install_path = |src: NodeId, dest: NodeId| {
-            let sp = &dist_to_center[&dest];
-            let mut cur = src;
-            loop {
-                path_dests[cur.idx()].insert(dest);
-                if cur == dest {
-                    break;
-                }
-                let (next, _) = sp.parent[cur.idx()].expect("graph is connected");
-                route[cur.idx()].insert(dest, next);
-                cur = next;
-            }
-        };
         // The paper embeds "via a shortest path from each node v to each of
-        // its L+1 ancestors": install v -> chains[v][i] for every level
-        // (deduplicated by the route map itself).
-        for v in g.nodes() {
-            for i in 0..=top_level as usize {
-                install_path(v, chains[v.idx()][i]);
+        // its L+1 ancestors", drawn from the Dijkstra tree rooted at the
+        // ancestor so that "the union of all least-weight paths ending at a
+        // specific node induces a tree" (paper, Main Techniques). Center by
+        // center, in ascending id (so every table comes out sorted): walk
+        // each source's path and stop at the first node that already holds
+        // this center — the rest of the path is installed.
+        let mut pairs: Vec<(NodeId, NodeId)> = g
+            .nodes()
+            .flat_map(|v| chains[v.idx()].iter().map(move |&c| (c, v)))
+            .collect();
+        pairs.sort_unstable();
+        let mut centers = Vec::new();
+        let mut routes: Vec<Vec<Route>> = vec![Vec::new(); n];
+        for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let dest = group[0].0;
+            centers.push(dest);
+            let sp = dijkstra::shortest_paths(g, dest);
+            for &(_, mut cur) in group {
+                while cur != dest && routes[cur.idx()].last().is_none_or(|r| r.dest != dest) {
+                    let (next, _) = sp.parent[cur.idx()].expect("graph is connected");
+                    let hops = sp.hops[cur.idx()];
+                    routes[cur.idx()].push(Route { dest, next, hops });
+                    cur = next;
+                }
             }
         }
 
@@ -156,7 +165,6 @@ impl Embedding {
                 by_rank.sort_by_key(|v| std::cmp::Reverse(ranks[v.idx()]));
                 let mut s: Vec<NodeId> = by_rank[..size].to_vec();
                 s.sort_unstable();
-                let in_s: HashSet<NodeId> = s.iter().copied().collect();
                 // Closest S member per node, with consistent tie-breaking.
                 let msp = dijkstra::multi_source(g, &s);
                 let owner = dijkstra::voronoi_owner(&msp, &s);
@@ -164,7 +172,7 @@ impl Embedding {
                 for v in g.nodes() {
                     let prefix_len = chains[v.idx()]
                         .iter()
-                        .position(|c| in_s.contains(c))
+                        .position(|c| s.binary_search(c).is_ok())
                         .unwrap_or(chains[v.idx()].len());
                     trunc.push(TruncatedChain {
                         prefix_len,
@@ -181,40 +189,47 @@ impl Embedding {
             ranks,
             beta,
             top_level,
-            lists,
             chains,
-            route,
-            path_dests,
-            dist_to_center,
+            centers,
+            routes,
             truncation,
             s_set,
         }
     }
 
+    /// The route table at `x`: a [`Route`] for every center whose installed
+    /// path passes through `x` (the center itself excepted), sorted by
+    /// destination. Lemma G.1 bounds it to `O(log n)` entries w.h.p.
+    pub fn routes(&self, x: NodeId) -> &[Route] {
+        &self.routes[x.idx()]
+    }
+
+    fn route(&self, x: NodeId, dest: NodeId) -> Option<&Route> {
+        let table = &self.routes[x.idx()];
+        let i = table.binary_search_by_key(&dest, |r| r.dest).ok()?;
+        Some(&table[i])
+    }
+
     /// Next hop at `x` towards destination center `dest`, if `x` is on an
     /// installed path.
     pub fn next_hop(&self, x: NodeId, dest: NodeId) -> Option<NodeId> {
-        self.route[x.idx()].get(&dest).copied()
+        self.route(x, dest).map(|r| r.next)
     }
 
-    /// Number of distinct path destinations traversing `x`
-    /// (Lemma G.1: `O(log n)` w.h.p.; experiment E6).
+    /// Number of distinct path destinations traversing `x`, `x` itself
+    /// included when it is a center (Lemma G.1; experiment E6).
     pub fn path_count(&self, x: NodeId) -> usize {
-        self.path_dests[x.idx()].len()
+        self.routes[x.idx()].len() + usize::from(self.centers.binary_search(&x).is_ok())
     }
 
-    /// Weighted distance from `x` to a center (`None` if the center is
-    /// unknown to the embedding).
-    pub fn dist_to(&self, x: NodeId, center: NodeId) -> Option<Weight> {
-        self.dist_to_center
-            .get(&center)
-            .map(|sp| sp.dist[x.idx()])
-            .filter(|&d| d < INF)
-    }
-
-    /// Hop length of the installed path from `x` to `center`.
+    /// Hop length of the installed path from `x` to `center`: defined only
+    /// on installed paths (every chain level of `x` is one) and as `0` for
+    /// `x == center`; `None` otherwise.
     pub fn hops_to(&self, x: NodeId, center: NodeId) -> Option<u32> {
-        self.dist_to_center.get(&center).map(|sp| sp.hops[x.idx()])
+        if x == center {
+            return Some(0);
+        }
+        self.route(x, center).map(|r| r.hops)
     }
 
     /// Tree-metric distance between two leaves: both chains are walked to
@@ -273,9 +288,7 @@ impl Embedding {
 
     /// All distinct centers (internal virtual nodes).
     pub fn centers(&self) -> Vec<NodeId> {
-        let mut cs: Vec<NodeId> = self.dist_to_center.keys().copied().collect();
-        cs.sort_unstable();
-        cs
+        self.centers.clone()
     }
 }
 
@@ -363,15 +376,24 @@ mod tests {
 
     #[test]
     fn routes_walk_to_their_destination() {
-        let (g, emb) = build(25, 5);
-        for v in g.nodes() {
-            let dest = emb.chains[v.idx()][0];
-            let mut cur = v;
-            let mut hops = 0;
-            while cur != dest {
-                cur = emb.next_hop(cur, dest).expect("installed path");
-                hops += 1;
-                assert!(hops <= g.n() as u32, "routing loop");
+        // Every node reaches every chain level by next hops, in exactly the
+        // installed path's hop length.
+        for (g, emb) in [build(25, 5), build(40, 6)] {
+            for v in g.nodes() {
+                for &dest in &emb.chains[v.idx()] {
+                    let hops = emb.hops_to(v, dest).expect("chain level is installed");
+                    let mut cur = v;
+                    let mut steps = 0;
+                    while cur != dest {
+                        assert_eq!(emb.hops_to(cur, dest), Some(hops - steps));
+                        let next = emb.next_hop(cur, dest).expect("installed path");
+                        assert!(g.find_edge(cur, next).is_some(), "next hop is a neighbor");
+                        cur = next;
+                        steps += 1;
+                        assert!(steps <= g.n() as u32, "routing loop");
+                    }
+                    assert_eq!(steps, hops, "node {v}, dest {dest}");
+                }
             }
         }
     }
@@ -447,28 +469,10 @@ mod tests {
                 let (lists, _) =
                     le_lists_distributed(g, &ranks, &CongestConfig::for_graph(g)).unwrap();
                 let emb = Embedding::from_lists(g, &cfg, ranks, lists);
-                let at = format!("graph {gi}, seed {seed}, truncate {truncate:?}");
-                assert_eq!(emb.ranks, oracle.ranks, "{at}");
-                assert_eq!(emb.chains, oracle.chains, "{at}");
-                assert_eq!(emb.top_level, oracle.top_level, "{at}");
-                assert_eq!(emb.s_set, oracle.s_set, "{at}");
-                assert_eq!(emb.truncation, oracle.truncation, "{at}");
-                let centers = oracle.centers();
-                assert_eq!(emb.centers(), centers, "{at}");
-                for v in g.nodes() {
-                    assert_eq!(emb.path_count(v), oracle.path_count(v), "{at}, node {v}");
-                    for &c in &centers {
-                        assert_eq!(
-                            (emb.next_hop(v, c), emb.hops_to(v, c), emb.dist_to(v, c)),
-                            (
-                                oracle.next_hop(v, c),
-                                oracle.hops_to(v, c),
-                                oracle.dist_to(v, c)
-                            ),
-                            "{at}, node {v}, center {c}"
-                        );
-                    }
-                }
+                assert_eq!(
+                    emb, oracle,
+                    "graph {gi}, seed {seed}, truncate {truncate:?}"
+                );
             }
         }
     }

@@ -20,13 +20,17 @@
 //! * [`LeList`] computation, centralized ([`le_lists`]) and as a CONGEST
 //!   protocol ([`distributed::LeProtocol`]) with pipelined Bellman–Ford
 //!   propagation — the dominant cost of \[14\]'s `Õ(s)` construction;
-//! * [`Embedding`] — ancestor chains, per-node routing tables
-//!   (`destination → next hop`), tree metric, optimal forest on the tree,
-//!   and the `S`-truncation of Section 5 (`s > √n` regime). The solvers
-//!   build it from the simulated lists ([`Embedding::from_lists`]);
-//!   [`Embedding::build`], on the centralized lists, is the test oracle;
+//! * [`Embedding`] — ancestor chains, one route table per node holding
+//!   the installed paths through it (a sorted list of
+//!   `destination → next hop, hops` [`Route`]s; each center's Dijkstra
+//!   is dropped once its paths are installed), tree metric, optimal
+//!   forest on the tree, and the `S`-truncation of Section 5 (`s > √n`
+//!   regime). Hop lengths ([`Embedding::hops_to`]) are known only along
+//!   installed paths. The solvers build it from the simulated lists
+//!   ([`Embedding::from_lists`]); [`Embedding::build`], on the
+//!   centralized lists, is the test oracle;
 //! * per-node path-congestion statistics (Lemma G.1's `O(log n)` distinct
-//!   paths per node — experiment E6).
+//!   paths per node — experiment E6), read off the route table.
 //!
 //! # Invariants
 //!
@@ -57,7 +61,7 @@ pub mod distributed;
 mod embedding;
 mod le_list;
 
-pub use embedding::{Embedding, EmbeddingConfig, TruncatedChain};
+pub use embedding::{Embedding, EmbeddingConfig, Route, TruncatedChain};
 pub use le_list::{le_lists, LeEntry, LeList};
 
 use dsf_graph::Weight;
